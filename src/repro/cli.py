@@ -185,16 +185,12 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     """Trace one run; write a Perfetto-loadable Chrome trace + metrics."""
     import json
 
-    from repro.errors import ExperimentError
-    from repro.experiments.runner import run_mix_once
+    from repro.experiments.runner import lookup_mix, run_mix_once
     from repro.obs.context import ObsConfig
     from repro.obs.exporters import to_chrome_trace, write_jsonl
-    from repro.workloads.mixes import MIXES
 
     ctx = _context(args)
-    mix = MIXES.get(args.mix)
-    if mix is None:
-        raise ExperimentError(f"unknown mix {args.mix!r}")
+    mix = lookup_mix(args.mix)
     obs = ObsConfig(trace=True, metrics=True, profile=args.profile)
     result = run_mix_once(
         ctx, mix, args.config, args.scheduler, big_first=True, obs=obs,
@@ -255,15 +251,11 @@ def _cmd_dash(args: argparse.Namespace) -> None:
     import json
     import pathlib
 
-    from repro.errors import ExperimentError
-    from repro.experiments.runner import run_mix_once
+    from repro.experiments.runner import lookup_mix, run_mix_once
     from repro.obs.dashboard import render_dashboard
-    from repro.workloads.mixes import MIXES
 
     ctx = _context(args)
-    mix = MIXES.get(args.mix)
-    if mix is None:
-        raise ExperimentError(f"unknown mix {args.mix!r}")
+    mix = lookup_mix(args.mix)
     result = run_mix_once(
         ctx, mix, args.config, args.scheduler, big_first=True,
         timeseries=True,
@@ -366,15 +358,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print("(no attribution summary recorded for this row)")
         return 0
 
-    from repro.errors import ExperimentError
-    from repro.experiments.runner import run_mix_once
+    from repro.experiments.runner import lookup_mix, run_mix_once
     from repro.obs.context import ObsConfig
-    from repro.workloads.mixes import MIXES
 
     ctx = _context(args)
-    mix = MIXES.get(args.mix)
-    if mix is None:
-        raise ExperimentError(f"unknown mix {args.mix!r}")
+    mix = lookup_mix(args.mix)
     result = run_mix_once(
         ctx, mix, args.config, args.scheduler, big_first=True,
         obs=ObsConfig(trace=True), sanitize=args.sanitize,
@@ -637,6 +625,10 @@ def _cmd_all(args: argparse.Namespace) -> None:
     print(f"\n[elapsed: {time.time() - start:.1f}s]")
 
 
+#: ``--mix`` takes a Table 4 mix name, not an index.
+_MIX_HELP = "Table 4 mix name, e.g. Sync-1 or Rand-10"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colab-repro",
@@ -719,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_summary
     )
     run = sub.add_parser("run", help="one (mix, config) evaluation point")
-    run.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
+    run.add_argument("--mix", default="Sync-2", help=_MIX_HELP)
     run.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
     run.add_argument(
         "--schedulers",
@@ -750,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="trace one run (Perfetto/Chrome trace + metrics)"
     )
-    trace.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
+    trace.add_argument("--mix", default="Sync-2", help=_MIX_HELP)
     trace.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
     trace.add_argument(
         "--scheduler", default="colab", help="linux/wash/colab/gts"
@@ -793,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scripts): sampled run timeline + sweep report + ledger trends "
         "+ BENCH_*.json artifacts",
     )
-    dash.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
+    dash.add_argument("--mix", default="Sync-2", help=_MIX_HELP)
     dash.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
     dash.add_argument(
         "--scheduler", default="colab", help="linux/wash/colab/gts"
@@ -831,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run_id", nargs="?", type=int, default=None,
         help="ledger row id to report instead of running fresh",
     )
-    report.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
+    report.add_argument("--mix", default="Sync-2", help=_MIX_HELP)
     report.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
     report.add_argument(
         "--scheduler", default="colab", help="linux/wash/colab/gts"
@@ -988,11 +980,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ReproError
     from repro.obs.log import configure
 
     args = build_parser().parse_args(argv)
     configure(verbosity=args.verbose)
-    result = args.func(args)
+    try:
+        result = args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return int(result or 0)
 
 

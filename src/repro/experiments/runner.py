@@ -260,7 +260,10 @@ class ExperimentContext:
     def topology(self, config: str, big_first: bool) -> Topology:
         base = standard_topologies().get(config)
         if base is None:
-            raise ExperimentError(f"unknown config {config!r}; expected {CONFIGS}")
+            raise ExperimentError(
+                f"unknown config {config!r}; expected one of "
+                + ", ".join(sorted(standard_topologies()))
+            )
         return base.with_order(big_first)
 
     def baselines_for(self, mix: WorkloadMix, config: str) -> dict[str, float]:
@@ -270,6 +273,16 @@ class ExperimentContext:
 
     def isolated_big_turnaround(self, benchmark: str, n_threads: int, n_cores: int) -> float:
         return self._baselines.isolated_turnaround(benchmark, n_threads, n_cores)
+
+
+def lookup_mix(mix_index: str) -> WorkloadMix:
+    """The Table 4 mix named ``mix_index`` (e.g. ``Sync-1``)."""
+    mix = MIXES.get(mix_index)
+    if mix is None:
+        raise ExperimentError(
+            f"unknown mix {mix_index!r}; expected one of {', '.join(MIXES)}"
+        )
+    return mix
 
 
 def run_mix_once(
@@ -344,21 +357,22 @@ def evaluate_mix(
     config: str,
     scheduler_name: str,
     sanitize: bool = False,
+    lookup: bool = True,
 ) -> MixMetrics:
     """Order-averaged H_ANTT / H_STP of one evaluation point.
 
     ``sanitize`` runs both orderings under schedsan and bypasses the
     metrics caches -- in-process and persistent -- in both directions
     (results are bit-identical either way, but a cached entry would skip
-    the checking the caller asked for).
+    the checking the caller asked for).  ``lookup=False`` skips the cache
+    lookup only, for a caller that has just missed it; the computed point
+    is still stored.
     """
-    if not sanitize:
+    if not sanitize and lookup:
         cached = ctx.peek_metrics(mix_index, config, scheduler_name)
         if cached is not None:
             return cached
-    mix = MIXES.get(mix_index)
-    if mix is None:
-        raise ExperimentError(f"unknown mix {mix_index!r}")
+    mix = lookup_mix(mix_index)
 
     per_order: list[dict[str, float]] = []
     makespans: list[float] = []
@@ -440,20 +454,25 @@ def sweep(
     for mix_index in mix_indices:
         for config in configs:
             for scheduler in schedulers:
-                cache_hit = (
-                    not sanitize
-                    and ctx.peek_metrics(mix_index, config, scheduler) is not None
+                # One persistent-cache lookup per point: a miss skips
+                # evaluate_mix's own lookup; a hit is served from the
+                # in-process cache this peek just filled.
+                cached = (
+                    None
+                    if sanitize
+                    else ctx.peek_metrics(mix_index, config, scheduler)
                 )
                 started = _time.perf_counter()
                 metrics = evaluate_mix(
-                    ctx, mix_index, config, scheduler, sanitize=sanitize
+                    ctx, mix_index, config, scheduler, sanitize=sanitize,
+                    lookup=cached is not None,
                 )
                 record_point(
                     ctx.ledger,
                     ctx,
                     metrics,
                     wall_s=_time.perf_counter() - started,
-                    cache_hit=cache_hit,
+                    cache_hit=cached is not None,
                 )
                 results.append(metrics)
     return results

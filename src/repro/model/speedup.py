@@ -93,6 +93,15 @@ class SpeedupEstimator(abc.ABC):
         """
 
     @property
+    def reads_counters(self) -> bool:
+        """True if :meth:`estimate` reads its counter ``window``.
+
+        The labeler synthesises a thread's counter window only for
+        estimators that read it (see :mod:`repro.sim.counters`).
+        """
+        return True
+
+    @property
     def is_pure(self) -> bool:
         """True if :meth:`estimate` is a pure function of its inputs.
 
@@ -133,6 +142,10 @@ class OracleSpeedupModel(SpeedupEstimator):
         if self.noise_std > 0.0:
             truth += self._rng.normal(0.0, self.noise_std)
         return float(np.clip(truth, SPEEDUP_MIN, SPEEDUP_MAX))
+
+    @property
+    def reads_counters(self) -> bool:
+        return False
 
     @property
     def is_pure(self) -> bool:

@@ -149,8 +149,12 @@ def estimator_fingerprint(ctx: "ExperimentContext") -> str | None:
     if estimator is None:
         if ctx.use_learned_model:
             # The default model is fully determined by the training
-            # defaults plus the source tree (already part of the key);
-            # naming it symbolically lets a warm cache skip training.
+            # defaults plus the source tree (already part of the key), so
+            # it is named symbolically before it is trained.  This does not
+            # let a warm cache skip training: once get_estimator() trains
+            # it, ctx.estimator is set and later keys carry the trained
+            # spec's hash, so points stored after training (WASH, COLAB)
+            # are stored under a key this name never looks up.
             return "learned:default"
         # The lazily built default oracle carries noise -> order-sensitive.
         return None

@@ -33,7 +33,8 @@ def refresh_estimates(
 ) -> None:
     """Update ``predicted_speedup`` and ``blocking_level`` on every task.
 
-    Windows are consumed (reset) so the next pass sees fresh deltas.  A
+    Windows are consumed (reset) so the next pass sees fresh deltas; they
+    are only synthesised for estimators that read them.  A
     window with too few instructions leaves the speedup estimate untouched
     (the thread barely ran; its counter ratios are noise).
 
@@ -41,10 +42,20 @@ def refresh_estimates(
     each speedup-model prediction under ``model.estimate``.
     """
     profiling = profiler is not None and profiler.enabled
+    reads_window = getattr(estimator, "reads_counters", True)
     for task in tasks:
         if task.is_done:
             continue
-        window = task.counters.read_window(reset=True) if task.counters else {}
+        counters = task.counters
+        if counters is None:
+            window = {}
+        elif reads_window:
+            window = counters.read_window(reset=True)
+        else:
+            # The estimator ignores the window: consume it without paying
+            # for its counter synthesis.
+            counters.reset_window()
+            window = {}
         if profiling:
             started = profiler.start()
             estimate = estimator.estimate(task, window)

@@ -19,11 +19,19 @@ with the same statistical shape:
 * :func:`wide_vector` expands a snapshot to the full 225-counter vector by
   adding distractor counters (noise plus mild instruction-count coupling),
   so the PCA selection stage has real work to do.
+
+Counter synthesis is lazy (see :class:`PerformanceCounters`): accounting
+only queues each slice's instruction count, and the noise draws happen in
+one batch when a window or total is read.  The batch draws the same
+RNG stream and sums in the same order as per-slice accumulation, so every
+value is bit-identical to it, and runs that never read counters never pay
+for synthesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,9 +175,11 @@ def profile_from_traits(
 # ---------------------------------------------------------------------------
 
 
-#: Counters bumped by :meth:`PerformanceCounters.record_compute`, in the
-#: order their noise factors are drawn from the RNG stream.
-_COMPUTE_NOISY_NAMES: tuple[str, ...] = (
+#: Counters synthesised from compute records, in the column order of a
+#: materialisation: committed instructions (exact), then the five noisy
+#: counters in the order their noise factors are drawn from the RNG stream.
+_SYNTH_NAMES: tuple[str, ...] = (
+    "commit.committedInsts",
     "fp_regfile_writes",
     "fetch.Branches",
     "rename.SQFullEvents",
@@ -177,42 +187,60 @@ _COMPUTE_NOISY_NAMES: tuple[str, ...] = (
     "fetch.IcacheWaitRetryStallCycles",
 )
 
+#: Pending compute records are materialised once this many have queued up,
+#: so a task whose counters are never read holds bounded memory.
+PENDING_LIMIT = 1024
 
-@dataclass
+
 class PerformanceCounters:
     """Accumulating PMU state of one task.
 
     Two accumulator sets are kept: lifetime totals (training) and a window
     that the 10 ms labeler reads and resets (online prediction).
 
-    When ``hotpath`` is set, :meth:`record_compute` draws its five noise
-    factors as one batched ``Generator.normal(size=5)`` call instead of
-    five scalar calls.  numpy's Generator consumes the underlying
-    bit-stream identically either way, so the produced values -- and every
-    downstream counter -- are bit-identical; the batch merely amortises
-    the per-call dispatch overhead on the simulator's hottest accounting
-    site.
+    Synthesis is lazy.  :meth:`record_compute` validates its arguments and
+    queues the slice's instruction count; the noisy counters are only
+    synthesised when :attr:`totals`, :attr:`window`, :meth:`read_window`
+    or :meth:`normalized` is read (or :data:`PENDING_LIMIT` records have
+    queued).  A materialisation draws ``5 * n`` noise factors in one
+    ``Generator.normal`` call -- numpy consumes the bit-stream exactly as
+    ``n`` five-value (or ``5 * n`` scalar) draws would -- and folds each
+    counter with a sequential ``np.cumsum`` starting from its current
+    value, which performs the same IEEE additions, in the same order, as
+    one ``+=`` per record.  Every total and window is therefore
+    bit-identical to eager accumulation, while runs that never read their
+    counters (CFS, GTS, baselines, oracle-driven policies) skip the noise
+    synthesis on every accounted slice.
     """
 
-    profile: MicroArchProfile
-    rng: np.random.Generator
-    totals: dict[str, float] = field(default_factory=dict)
-    window: dict[str, float] = field(default_factory=dict)
-    hotpath: bool = False
-    # Per-instruction rates are a fixed function of the (frozen) profile;
-    # the hot path computes them once instead of per record_compute call.
-    _rates: tuple[float, ...] | None = field(default=None, repr=False)
+    __slots__ = (
+        "profile", "rng", "_totals", "_window", "_rates", "_pending", "_mark"
+    )
 
-    def __post_init__(self) -> None:
-        for name in INFORMATIVE_NAMES:
-            self.totals.setdefault(name, 0.0)
-            self.window.setdefault(name, 0.0)
+    def __init__(self, profile: MicroArchProfile, rng: np.random.Generator) -> None:
+        self.profile = profile
+        self.rng = rng
+        self._totals = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
+        self._window = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
+        p = profile
+        # Per-instruction rates of the noisy counters, in _SYNTH_NAMES[1:]
+        # order; a fixed function of the frozen profile.
+        self._rates = np.array(
+            [
+                0.05 + 0.40 * p.ilp,
+                0.02 + 0.20 * p.branchiness,
+                0.002 + 0.05 * p.store_pressure,
+                0.05 + 0.60 * p.mem_bound,
+                0.005 + 0.12 * p.frontend_stall,
+            ]
+        )
+        #: Instruction counts of compute records not yet synthesised.
+        self._pending = array("d")
+        #: Pending records before this index precede the last window reset
+        #: and count towards the totals only.
+        self._mark = 0
 
     # -- accumulation -------------------------------------------------------
-    def _bump(self, name: str, amount: float) -> None:
-        self.totals[name] += amount
-        self.window[name] += amount
-
     def record_compute(self, work: float, cpu_time: float) -> None:
         """Account ``work`` units retired over ``cpu_time`` ms of execution.
 
@@ -224,58 +252,80 @@ class PerformanceCounters:
             raise SimulationError(f"negative accounting: work={work} t={cpu_time}")
         if work == 0.0:
             return
-        insts = work * INSTRUCTIONS_PER_WORK
-        p = self.profile
-        if self.hotpath:
-            rates = self._rates
-            if rates is None:
-                rates = self._rates = (
-                    0.05 + 0.40 * p.ilp,
-                    0.02 + 0.20 * p.branchiness,
-                    0.002 + 0.05 * p.store_pressure,
-                    0.05 + 0.60 * p.mem_bound,
-                    0.005 + 0.12 * p.frontend_stall,
-                )
-            noise = self.rng.normal(0.0, 0.05, 5).tolist()
-            totals = self.totals
-            window = self.window
-            totals["commit.committedInsts"] += insts
-            window["commit.committedInsts"] += insts
-            for name, rate, sample in zip(_COMPUTE_NOISY_NAMES, rates, noise):
-                amount = insts * rate * max(0.0, 1.0 + sample)
-                totals[name] += amount
-                window[name] += amount
-            return
-
-        def noisy(rate: float) -> float:
-            return insts * rate * max(0.0, 1.0 + self.rng.normal(0.0, 0.05))
-
-        self._bump("commit.committedInsts", insts)
-        self._bump("fp_regfile_writes", noisy(0.05 + 0.40 * p.ilp))
-        self._bump("fetch.Branches", noisy(0.02 + 0.20 * p.branchiness))
-        self._bump("rename.SQFullEvents", noisy(0.002 + 0.05 * p.store_pressure))
-        self._bump("dcache.tags.tagsinuse", noisy(0.05 + 0.60 * p.mem_bound))
-        self._bump(
-            "fetch.IcacheWaitRetryStallCycles",
-            noisy(0.005 + 0.12 * p.frontend_stall),
-        )
+        pending = self._pending
+        pending.append(work * INSTRUCTIONS_PER_WORK)
+        if len(pending) >= PENDING_LIMIT:
+            self._materialise()
 
     def record_wait(self, wait_time: float) -> None:
         """Account blocked time as quiesce (interrupt-wait) cycles."""
         if wait_time < 0:
             raise SimulationError(f"negative wait time {wait_time}")
-        # 2 GHz big-core cycles per ms of quiescence, profile-weighted.
+        # 2 GHz big-core cycles per ms of quiescence, profile-weighted.  No
+        # compute record touches this counter, so it is accumulated eagerly.
         cycles = wait_time * 2.0e6 * (0.5 + 0.5 * self.profile.quiesce)
-        self._bump("quiesceCycles", cycles)
+        self._totals["quiesceCycles"] += cycles
+        self._window["quiesceCycles"] += cycles
+
+    def _materialise(self) -> None:
+        """Fold every pending compute record into the accumulators."""
+        pending = self._pending
+        n = len(pending)
+        if n == 0:
+            return
+        totals = self._totals
+        window = self._window
+        insts = np.frombuffer(pending)
+        noise = self.rng.normal(0.0, 0.05, 5 * n).reshape(n, 5)
+        # Row 0 holds the current values; row i the amounts of record i.
+        # Columns 0-5 feed the totals and columns 6-11 the window, whose
+        # rows before the mark stay 0.0 (the window was reset after them).
+        steps = np.empty((n + 1, 12))
+        steps[0] = [totals[name] for name in _SYNTH_NAMES] + [
+            window[name] for name in _SYNTH_NAMES
+        ]
+        steps[1:, 0] = insts
+        steps[1:, 1:6] = insts[:, None] * self._rates * np.maximum(0.0, 1.0 + noise)
+        steps[1:, 6:] = steps[1:, :6]
+        steps[1 : self._mark + 1, 6:] = 0.0
+        sums = np.cumsum(steps, axis=0)[-1].tolist()
+        for i, name in enumerate(_SYNTH_NAMES):
+            totals[name] = sums[i]
+            window[name] = sums[i + 6]
+        self._pending = array("d")
+        self._mark = 0
 
     # -- snapshots ------------------------------------------------------------
+    @property
+    def totals(self) -> dict[str, float]:
+        """Lifetime accumulators (materialised on read)."""
+        self._materialise()
+        return self._totals
+
+    @property
+    def window(self) -> dict[str, float]:
+        """Accumulators since the last window reset (materialised on read)."""
+        self._materialise()
+        return self._window
+
     def read_window(self, reset: bool = True) -> dict[str, float]:
         """Return the per-window accumulators, optionally resetting them."""
-        snapshot = dict(self.window)
+        self._materialise()
+        snapshot = dict(self._window)
         if reset:
-            for name in self.window:
-                self.window[name] = 0.0
+            self.reset_window()
         return snapshot
+
+    def reset_window(self) -> None:
+        """Start a new window without synthesising the one it discards.
+
+        Records still pending stay queued for the totals; the mark keeps
+        them out of the new window.
+        """
+        window = self._window
+        for name in window:
+            window[name] = 0.0
+        self._mark = len(self._pending)
 
     def normalized(self, source: dict[str, float] | None = None) -> dict[str, float]:
         """Counters A-F divided by committed instructions (Table 2 form)."""

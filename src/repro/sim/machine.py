@@ -346,7 +346,6 @@ class Machine:
             task.counters = PerformanceCounters(
                 profile=task.profile,
                 rng=np.random.default_rng(self.rng.integers(0, 2**63)),
-                hotpath=self._hotpath,
             )
         if self._hotpath:
             task.prime_speedup_cache()
@@ -982,7 +981,6 @@ class Machine:
                 spawned.counters = PerformanceCounters(
                     profile=spawned.profile,
                     rng=np.random.default_rng(self.rng.integers(0, 2**63)),
-                    hotpath=self._hotpath,
                 )
             if self._hotpath:
                 spawned.prime_speedup_cache()

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
+    SCHEDULERS,
     BoundedCache,
     ExperimentContext,
     evaluate_mix,
@@ -351,6 +352,36 @@ class TestLedgerRecording:
             rows = ledger.list_runs(limit=100)
             assert len(rows) == len(results)
             assert all(row["cache_hit"] is True for row in rows)
+
+    def test_serial_sweep_looks_up_each_point_once(self, tmp_path, monkeypatch):
+        """Serial ledger path: one persistent-cache load per point.
+
+        Cold, every point misses once and is computed; warm, every point
+        hits once.  ``cache_hit`` is recorded as before either way.
+        """
+        from repro.parallel.cache import ResultCache
+
+        loads: list[str] = []
+        real_load = ResultCache.load
+
+        def counting_load(self, key):
+            loads.append(key)
+            return real_load(self, key)
+
+        monkeypatch.setattr(ResultCache, "load", counting_load)
+        cache_dir = tmp_path / "cache"
+        n_points = len(MIX_SUBSET) * len(CONFIG_SUBSET) * len(SCHEDULERS)
+        for warm in (False, True):
+            loads.clear()
+            with self.ledger(tmp_path / f"warm-{warm}") as ledger:
+                ctx = pure_ctx(cache_dir=cache_dir, ledger=ledger)
+                results = run_sweep(ctx, jobs=1)
+                rows = ledger.list_runs(limit=100)
+            assert len(results) == n_points
+            assert len(loads) == n_points
+            assert len(set(loads)) == n_points
+            assert len(rows) == n_points
+            assert all(row["cache_hit"] is warm for row in rows)
 
     def test_ledger_handle_excluded_from_fingerprints(self):
         from repro.parallel.fingerprint import TELEMETRY_EXCLUDED_FIELDS

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim import counters as counters_module
 from repro.sim.counters import (
     COUNTER_TABLE,
     INFORMATIVE_NAMES,
     INSTRUCTIONS_PER_WORK,
+    PENDING_LIMIT,
     WIDE_VECTOR_SIZE,
     MicroArchProfile,
     PerformanceCounters,
@@ -22,6 +24,65 @@ from repro.sim.counters import (
 from tests.conftest import FAST_PROFILE, NEUTRAL_PROFILE, SLOW_PROFILE
 
 unit = st.floats(0.0, 1.0)
+
+
+class EagerCounters:
+    """Reference PMU: synthesises every record at once, scalar draws.
+
+    This is the accumulation the lazy :class:`PerformanceCounters` must
+    reproduce bit for bit: five scalar noise draws per compute record, in
+    counter order, each amount added with ``+=`` as it is produced.
+    """
+
+    def __init__(self, profile: MicroArchProfile, rng: np.random.Generator) -> None:
+        self.profile = profile
+        self.rng = rng
+        self.totals = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
+        self.window = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
+
+    def _bump(self, name: str, amount: float) -> None:
+        self.totals[name] += amount
+        self.window[name] += amount
+
+    def record_compute(self, work: float, cpu_time: float) -> None:
+        if work < 0 or cpu_time < 0:
+            raise SimulationError(f"negative accounting: work={work} t={cpu_time}")
+        if work == 0.0:
+            return
+        insts = work * INSTRUCTIONS_PER_WORK
+        p = self.profile
+
+        def noisy(rate: float) -> float:
+            return insts * rate * max(0.0, 1.0 + self.rng.normal(0.0, 0.05))
+
+        self._bump("commit.committedInsts", insts)
+        self._bump("fp_regfile_writes", noisy(0.05 + 0.40 * p.ilp))
+        self._bump("fetch.Branches", noisy(0.02 + 0.20 * p.branchiness))
+        self._bump("rename.SQFullEvents", noisy(0.002 + 0.05 * p.store_pressure))
+        self._bump("dcache.tags.tagsinuse", noisy(0.05 + 0.60 * p.mem_bound))
+        self._bump(
+            "fetch.IcacheWaitRetryStallCycles",
+            noisy(0.005 + 0.12 * p.frontend_stall),
+        )
+
+    def record_wait(self, wait_time: float) -> None:
+        if wait_time < 0:
+            raise SimulationError(f"negative wait time {wait_time}")
+        cycles = wait_time * 2.0e6 * (0.5 + 0.5 * self.profile.quiesce)
+        self._bump("quiesceCycles", cycles)
+
+    def read_window(self, reset: bool = True) -> dict[str, float]:
+        snapshot = dict(self.window)
+        if reset:
+            for name in self.window:
+                self.window[name] = 0.0
+        return snapshot
+
+    def normalized(self) -> dict[str, float]:
+        insts = self.totals["commit.committedInsts"]
+        if insts <= 0.0:
+            return {name: 0.0 for name in INFORMATIVE_NAMES[:-1]}
+        return {name: self.totals[name] / insts for name in INFORMATIVE_NAMES[:-1]}
 
 
 class TestProfile:
@@ -195,3 +256,134 @@ class TestWideVector:
         assert v_big[len(INFORMATIVE_NAMES):].sum() > v_small[
             len(INFORMATIVE_NAMES):
         ].sum()
+
+
+# ----------------------------------------------------------------------
+# Lazy synthesis vs the eager reference
+# ----------------------------------------------------------------------
+profiles = st.builds(MicroArchProfile, unit, unit, unit, unit, unit, unit)
+
+operations = st.one_of(
+    st.tuples(
+        st.just("compute"),
+        st.one_of(st.just(0.0), st.floats(1e-6, 50.0)),
+        st.floats(0.0, 50.0),
+    ),
+    st.tuples(st.just("wait"), st.floats(0.0, 20.0)),
+    st.tuples(st.just("read"), st.booleans()),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("totals")),
+    st.tuples(st.just("window")),
+    st.tuples(st.just("normalized")),
+)
+
+
+def replay(lazy: PerformanceCounters, eager: EagerCounters, ops) -> None:
+    """Apply ``ops`` to both implementations, comparing every read."""
+    for op in ops:
+        kind = op[0]
+        if kind == "compute":
+            lazy.record_compute(op[1], op[2])
+            eager.record_compute(op[1], op[2])
+        elif kind == "wait":
+            lazy.record_wait(op[1])
+            eager.record_wait(op[1])
+        elif kind == "read":
+            assert lazy.read_window(reset=op[1]) == eager.read_window(reset=op[1])
+        elif kind == "reset":
+            # reset_window discards the window the reference reads away.
+            lazy.reset_window()
+            eager.read_window(reset=True)
+        elif kind == "totals":
+            assert lazy.totals == eager.totals
+        elif kind == "window":
+            assert lazy.window == eager.window
+        else:
+            assert lazy.normalized() == eager.normalized()
+    assert lazy.totals == eager.totals
+    assert lazy.window == eager.window
+
+
+class TestLazySynthesis:
+    @given(profiles, st.integers(0, 2**32 - 1), st.lists(operations, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_eager(self, profile, seed, ops):
+        replay(
+            PerformanceCounters(profile, np.random.default_rng(seed)),
+            EagerCounters(profile, np.random.default_rng(seed)),
+            ops,
+        )
+
+    @given(profiles, st.integers(0, 2**32 - 1), st.lists(operations, max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_bit_identical_across_forced_flushes(self, profile, seed, ops):
+        """A tiny pending limit flushes mid-window; nothing may change."""
+        original = counters_module.PENDING_LIMIT
+        counters_module.PENDING_LIMIT = 3
+        try:
+            replay(
+                PerformanceCounters(profile, np.random.default_rng(seed)),
+                EagerCounters(profile, np.random.default_rng(seed)),
+                ops,
+            )
+        finally:
+            counters_module.PENDING_LIMIT = original
+
+    def test_reset_window_excludes_earlier_pending_records(self):
+        replay(
+            PerformanceCounters(NEUTRAL_PROFILE, np.random.default_rng(2)),
+            EagerCounters(NEUTRAL_PROFILE, np.random.default_rng(2)),
+            [
+                ("compute", 2.0, 2.0),
+                ("reset",),
+                ("compute", 1.0, 1.0),
+                ("window",),
+                ("compute", 3.0, 3.0),
+                ("reset",),
+                ("read", False),
+                ("totals",),
+            ],
+        )
+
+    def test_pending_buffer_is_bounded(self):
+        counters = PerformanceCounters(NEUTRAL_PROFILE, np.random.default_rng(0))
+        eager = EagerCounters(NEUTRAL_PROFILE, np.random.default_rng(0))
+        for i in range(3 * PENDING_LIMIT + 5):
+            counters.record_compute(0.5 + (i % 7) * 0.25, 1.0)
+            eager.record_compute(0.5 + (i % 7) * 0.25, 1.0)
+            assert len(counters._pending) < PENDING_LIMIT
+        assert counters.totals == eager.totals
+
+    def test_no_noise_drawn_until_read(self):
+        rng = np.random.default_rng(4)
+        counters = PerformanceCounters(NEUTRAL_PROFILE, rng)
+        state = rng.bit_generator.state
+        for _ in range(10):
+            counters.record_compute(1.0, 1.0)
+        counters.record_wait(2.0)
+        counters.reset_window()
+        assert rng.bit_generator.state == state
+        assert counters.totals["fetch.Branches"] > 0
+        assert rng.bit_generator.state != state
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.record_compute(-1.0, 1.0),
+            lambda c: c.record_compute(1.0, -1.0),
+            lambda c: c.record_wait(-0.5),
+        ],
+    )
+    def test_negative_inputs_raise_at_record_time(self, call):
+        rng = np.random.default_rng(9)
+        counters = PerformanceCounters(NEUTRAL_PROFILE, rng)
+        eager = EagerCounters(NEUTRAL_PROFILE, np.random.default_rng(9))
+        counters.record_compute(2.0, 2.0)
+        eager.record_compute(2.0, 2.0)
+        state = rng.bit_generator.state
+        with pytest.raises(SimulationError):
+            call(counters)
+        # The rejected record neither queued nor forced a synthesis.
+        assert rng.bit_generator.state == state
+        assert len(counters._pending) == 1
+        assert counters.totals == eager.totals

@@ -2,9 +2,11 @@
 
 The hot path (``MachineConfig(hotpath=True)``, the default) is only
 allowed to change wall-clock cost: stale-event suppression, the engine's
-fast-discard hook, the per-core event pool, the batched counter noise and
-the memoized speedup predictions must all leave every observable outcome
-bit-identical to the reference path (``hotpath=False``).  These tests pin
+fast-discard hook, the per-core event pool and the memoized speedup
+predictions must all leave every observable outcome bit-identical to the
+reference path (``hotpath=False``).  Counter noise is batched on both
+paths (lazy synthesis); it is checked here against an eager scalar-draw
+reference.  These tests pin
 the mechanism-level contracts; end-to-end parity is fuzzed in
 ``tests/test_fuzz_machine.py`` and benchmarked in
 ``benchmarks/bench_run_hotpath.py``.
@@ -26,6 +28,7 @@ from repro.sim.events import Event, EventKind
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
 from tests.conftest import NEUTRAL_PROFILE, make_machine, make_simple_task
+from tests.sim.test_counters import EagerCounters
 
 
 # ----------------------------------------------------------------------
@@ -166,18 +169,16 @@ class TestSuppressionAndPool:
 # ----------------------------------------------------------------------
 class TestBatchedCounterNoise:
     def test_hot_and_reference_counters_identical(self):
-        def accumulate(hotpath: bool) -> dict[str, float]:
-            counters = PerformanceCounters(
-                profile=NEUTRAL_PROFILE,
-                rng=np.random.default_rng(7),
-                hotpath=hotpath,
-            )
+        """Batched lazy synthesis matches scalar-draw eager accumulation."""
+        lazy = PerformanceCounters(
+            profile=NEUTRAL_PROFILE, rng=np.random.default_rng(7)
+        )
+        eager = EagerCounters(profile=NEUTRAL_PROFILE, rng=np.random.default_rng(7))
+        for counters in (lazy, eager):
             for _ in range(3):
                 counters.record_compute(work=1.5, cpu_time=1.0)
             counters.record_wait(0.5)
-            return counters.totals
-
-        assert accumulate(True) == accumulate(False)
+        assert lazy.totals == eager.totals
 
 
 # ----------------------------------------------------------------------

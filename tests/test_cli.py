@@ -272,6 +272,45 @@ class TestRunCommand:
         assert schedulers == {"linux", "colab"}
 
 
+class TestCleanErrors:
+    """Bad input ends in one ``error:`` line and exit status 2."""
+
+    BASE = ["--scale", "0.05", "--oracle", "--no-cache", "--no-ledger"]
+
+    def test_mix_index_instead_of_name(self, capsys):
+        assert main(self.BASE + ["run", "--mix", "1", "--config", "2B2S"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown mix '1'")
+        assert "Traceback" not in captured.err
+        # The valid names are listed.
+        assert "Sync-1" in captured.err and "Rand-10" in captured.err
+
+    def test_unknown_config(self, capsys):
+        code = main(self.BASE + ["run", "--mix", "Sync-1", "--config", "9B9S"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown config '9B9S'")
+        assert "Traceback" not in captured.err
+        for config in ("2B2S", "2B4S", "4B2S", "4B4S"):
+            assert config in captured.err
+
+    def test_trace_unknown_mix(self, tmp_path, capsys):
+        code = main(
+            self.BASE
+            + ["trace", "--mix", "Sync-99", "--out", str(tmp_path / "t.json")]
+        )
+        assert code == 2
+        assert "unknown mix 'Sync-99'" in capsys.readouterr().err
+
+    def test_mix_help_names_the_expected_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = capsys.readouterr().out
+        assert "Sync-1" in help_text
+        assert "mix index" not in help_text
+
+
 class TestSanitizedRunCommand:
     def test_run_with_sanitizer_matches_plain_run(self, tmp_path, capsys):
         """End-to-end --sanitize run: completes and is bit-identical."""
