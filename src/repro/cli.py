@@ -76,6 +76,20 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
     )
 
 
+def _scheduler_names(text: str) -> tuple[str, ...]:
+    """The comma-separated ``--schedulers`` list, each name checked.
+
+    Runs before the experiment context does any work, so a typo fails
+    fast instead of after the speedup model has been trained.
+    """
+    from repro.schedulers import check_scheduler_name
+
+    names = tuple(s.strip() for s in text.split(","))
+    for name in names:
+        check_scheduler_name(name)
+    return names
+
+
 def _cmd_train(args: argparse.Namespace) -> None:
     from repro.model.training import train_speedup_model
 
@@ -129,8 +143,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
     from repro.experiments.runner import sweep
     from repro.workloads.mixes import MIXES
 
+    schedulers = _scheduler_names(args.schedulers)
     ctx = _context(args)
-    schedulers = tuple(s.strip() for s in args.schedulers.split(","))
     points = sweep(
         ctx, [args.mix], configs=(args.config,), schedulers=schedulers,
         sanitize=args.sanitize,
@@ -480,10 +494,10 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         render_sweep_report,
     )
 
+    schedulers = _scheduler_names(args.schedulers)
     ctx = _context(args)
     mixes = [m.strip() for m in args.mixes.split(",") if m.strip()]
     configs = tuple(c.strip() for c in args.configs.split(","))
-    schedulers = tuple(s.strip() for s in args.schedulers.split(","))
     total = len(mixes) * len(configs) * len(schedulers)
     telemetry = DistTelemetry(
         progress=SweepProgress(total, enabled=not args.no_progress)

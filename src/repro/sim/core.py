@@ -96,18 +96,28 @@ class Core:
 
     # --- statistics -------------------------------------------------------
     busy_time: float = 0.0
+    #: DVFS residency: frequency scale -> busy ms at that scale.
+    busy_by_scale: dict = field(default_factory=dict)
     context_switches: int = 0
     migrations_in: int = 0
     preemptions: int = 0
     stats: dict = field(default_factory=dict)
 
-    @property
-    def kind(self) -> CoreKind:
-        return self.spec.kind
+    # --- fixed attributes derived from ``spec`` ---------------------------
+    # Plain attributes rather than properties: schedulers and the slice
+    # accounting read them on nearly every event.  ``spec`` is fixed for
+    # the core's lifetime, so computing them once is exact.
+    kind: CoreKind = field(init=False, repr=False)
+    #: ``kind is CoreKind.BIG``.
+    is_big: bool = field(init=False, repr=False)
+    #: ``kind.value`` ("big" / "little"), the key of per-kind task stats.
+    kind_value: str = field(init=False, repr=False)
 
-    @property
-    def is_big(self) -> bool:
-        return self.spec.kind is CoreKind.BIG
+    def __post_init__(self) -> None:
+        kind = self.spec.kind
+        self.kind = kind
+        self.is_big = kind is CoreKind.BIG
+        self.kind_value = kind.value
 
     @property
     def is_idle(self) -> bool:

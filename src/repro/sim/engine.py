@@ -18,8 +18,7 @@ on.
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -68,8 +67,9 @@ class Engine:
         #: Set to stop the loop after the in-flight event completes.
         self._stopped = False
         #: Optional wall-clock profiler (:class:`repro.obs.Profiler`);
-        #: when set and enabled, :meth:`run` times the whole loop and
-        #: :meth:`step` attributes handler time per event kind.
+        #: when set and enabled, :meth:`run` times the whole loop, and
+        #: both :meth:`run` and :meth:`step` attribute handler time per
+        #: event kind.
         self.profiler = None
         #: Optional runtime sanitizer (:class:`repro.sanitize.SchedSanitizer`);
         #: when set, every popped event is checked for time travel before
@@ -84,12 +84,12 @@ class Engine:
         #: Events dropped by the fast-discard predicate.
         self.discarded = 0
         #: Optional per-event recycling callback invoked by :meth:`run`
-        #: after each processed or discarded event (the machine returns
-        #: scratch timer events to a pool here).
+        #: (not :meth:`step`) after each processed or discarded event (the
+        #: machine returns scratch timer events to a pool here).
         self.recycle = None
         #: Optional sim-time sampler (:class:`repro.obs.timeseries.
-        #: TimeseriesSampler`); when set, :meth:`step` notifies it before
-        #: the clock crosses ``sampler.next_due``.  The sampler is
+        #: TimeseriesSampler`); when set, it is notified before the clock
+        #: crosses ``sampler.next_due``.  The sampler is
         #: read-only and pushes no events, so sequence numbers and heap
         #: order -- and therefore run digests -- are unaffected.
         self.sampler = None
@@ -123,9 +123,9 @@ class Engine:
         self._seq = seq + 1
         event.seq = seq
         if self._hot:
-            heapq.heappush(self._heap, (event.time, event.kind, seq, event))
+            heappush(self._heap, (event.time, event.kind, seq, event))
         else:
-            heapq.heappush(self._heap, event)
+            heappush(self._heap, event)
         return event
 
     def push_at(self, time: float, kind: EventKind, **fields: object) -> Event:
@@ -207,34 +207,69 @@ class Engine:
     def run(self, until: float | None = None) -> None:
         """Drain the event queue.
 
+        One fused loop does per event exactly what :meth:`step` does, in
+        the same order -- past-event guard, :attr:`discard`,
+        :attr:`sanitizer`, :attr:`sampler`, clock, processed count and
+        ``max_events`` guard, handler -- then hands the event to
+        :attr:`recycle`.  Every hook is resolved to a local once per call
+        instead of once per event, so installing or clearing a hook takes
+        effect at the next :meth:`run`; :meth:`stop` and handler
+        re-registration still take effect at the next event.
+
         Args:
             until: If given, stop once simulated time would exceed this
                 timestamp (the frontier event is left queued).
         """
         self._stopped = False
         profiler = self.profiler
-        started = (
-            profiler.start() if profiler is not None and profiler.enabled else None
-        )
+        profiling = profiler is not None and profiler.enabled
+        started = profiler.start() if profiling else None
         heap = self._heap
-        step = self.step
-        recycle = self.recycle
         hot = self._hot
-        if recycle is None:
-            while heap and not self._stopped:
-                if until is not None:
-                    frontier = heap[0][0] if hot else heap[0].time
-                    if frontier > until:
-                        break
-                step()
-        else:
-            while heap and not self._stopped:
-                if until is not None:
-                    frontier = heap[0][0] if hot else heap[0].time
-                    if frontier > until:
-                        break
-                event = step()
-                if event is not None:
-                    recycle(event)
+        handlers = self._handlers
+        discard = self.discard
+        recycle = self.recycle
+        sanitizer = self.sanitizer
+        sampler = self.sampler
+        max_events = self._max_events
+        while heap and not self._stopped:
+            if until is not None and (heap[0][0] if hot else heap[0].time) > until:
+                break
+            if hot:
+                event_time, _kind, _seq, event = heappop(heap)
+            else:
+                event = heappop(heap)
+                event_time = event.time
+            if event_time < self.now:
+                raise SimulationError(
+                    f"heap produced past event at t={event_time} < now={self.now}"
+                )
+            if discard is not None and discard(event):
+                self.discarded += 1
+            else:
+                if sanitizer is not None:
+                    sanitizer.on_event(event, self.now)
+                if sampler is not None and event_time >= sampler.next_due:
+                    sampler.on_clock_advance(event_time)
+                self.now = event_time
+                processed = self._processed + 1
+                self._processed = processed
+                if processed > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "likely a livelocked workload or scheduler"
+                    )
+                kind = event.kind
+                handler = handlers[kind]
+                if handler is None:
+                    raise SimulationError(f"no handler registered for {kind.name}")
+                if profiling:
+                    handler_started = profiler.start()
+                    handler(event)
+                    profiler.stop(f"engine.handle.{kind.name}", handler_started)
+                else:
+                    handler(event)
+            if recycle is not None:
+                recycle(event)
         if started is not None:
             profiler.stop("engine.run", started)

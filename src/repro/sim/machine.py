@@ -80,6 +80,11 @@ from repro.workloads.actions import (
 #: Residual work below this is considered retired (float guard).
 _EPS = 1e-9
 
+# Timer kinds as module constants: the per-slice paths name them on every
+# push and a global read is cheaper than an enum class attribute.
+_SEGMENT_DONE = EventKind.SEGMENT_DONE
+_SLICE_EXPIRY = EventKind.SLICE_EXPIRY
+
 
 @dataclass
 class MachineConfig:
@@ -304,6 +309,8 @@ class Machine:
         #: event pools stay empty (every timer is a fresh allocation,
         #: exactly as before this optimisation existed).
         self._hotpath = self.config.hotpath
+        #: Livelock guard of :meth:`_advance`, read once per run.
+        self._max_actions = self.config.max_actions_per_advance
         #: SEGMENT_DONE pushes skipped because a live slice expiry proves
         #: they could never fire valid.
         self._suppressed = 0
@@ -406,7 +413,7 @@ class Machine:
         return self.cores[core_id]
 
     def _on_segment_done(self, event: Event) -> None:
-        core = self._core_at(event.core_id)
+        core = self.cores[event.core_id]
         if event.version != core.sched_version:
             return
         now = self.engine.now
@@ -428,7 +435,7 @@ class Machine:
         self._drain(now)
 
     def _on_slice_expiry(self, event: Event) -> None:
-        core = self._core_at(event.core_id)
+        core = self.cores[event.core_id]
         if event.version != core.sched_version:
             return
         now = self.engine.now
@@ -455,8 +462,8 @@ class Machine:
             raise SimulationError(
                 f"timed wakeup for {task.name} in state {task.state.value}"
             )
-        waited = now - (task.wait_started_at if task.wait_started_at else now)
         if task.wait_started_at is not None:
+            waited = now - task.wait_started_at
             task.own_wait_time += waited
             if task.counters is not None:
                 task.counters.record_wait(waited)
@@ -507,10 +514,7 @@ class Machine:
                 core.slice_deadline = now + task.pending_penalty + slice_len
                 self._schedule_segment_done(core, task, now)
                 self._push_timer(
-                    core.slice_deadline,
-                    EventKind.SLICE_EXPIRY,
-                    core,
-                    core.sched_version,
+                    core.slice_deadline, _SLICE_EXPIRY, core, core.sched_version
                 )
 
     def _on_label(self, event: Event) -> None:
@@ -590,7 +594,7 @@ class Machine:
         core.stats["last_tid"] = task.tid
         task.last_core_id = core.core_id
 
-        task.mark_running(core.core_id, core.kind.value)
+        task.mark_running(core.core_id, core.kind_value)
         if self._attr is not None:
             self._attr.transition(
                 task, RUNNING_BIG if core.is_big else RUNNING_LITTLE, now
@@ -632,7 +636,7 @@ class Machine:
         core.slice_deadline = now + task.pending_penalty + slice_len
         self._schedule_segment_done(core, task, now)
         self._push_timer(
-            core.slice_deadline, EventKind.SLICE_EXPIRY, core, core.sched_version
+            core.slice_deadline, _SLICE_EXPIRY, core, core.sched_version
         )
 
     def _schedule_segment_done(self, core: Core, task: Task, now: float) -> None:
@@ -650,12 +654,11 @@ class Machine:
         segment = task.current_segment
         if segment is None:
             raise SimulationError(f"no segment to schedule for {task.name}")
-        rate = core.rate_for(task)
-        finish = now + task.pending_penalty + segment.remaining / rate
+        finish = now + task.pending_penalty + segment.remaining / core.rate_for(task)
         if self._hotpath and finish > core.slice_deadline:
             self._suppressed += 1
             return
-        self._push_timer(finish, EventKind.SEGMENT_DONE, core, core.sched_version)
+        self._push_timer(finish, _SEGMENT_DONE, core, core.sched_version)
 
     def _push_timer(
         self, time: float, kind: EventKind, core: Core, version: int
@@ -672,13 +675,9 @@ class Machine:
             event.time = time
             event.kind = kind
             event.version = version
-            self.engine.push(event)
         else:
-            self.engine.push(
-                Event(
-                    time=time, kind=kind, core_id=core.core_id, version=version
-                )
-            )
+            event = Event(time, kind, 0, core.core_id, version)
+        self.engine.push(event)
 
     def _fast_discard(self, event: Event) -> bool:
         """Engine pop-time predicate: is this timer provably a no-op?
@@ -702,8 +701,11 @@ class Machine:
         """Charge execution since ``core.run_started`` to the running task.
 
         Hot path: runs at every deschedule/preempt/segment boundary, so
-        repeated attribute reads are hoisted into locals.  The arithmetic
-        (and its order) is untouched -- outcomes stay bit-identical.
+        repeated attribute reads are hoisted into locals and ``min`` calls
+        are spelled as branches that pick the same operand ``min`` would
+        (its first argument unless the second is strictly smaller).  The
+        arithmetic and its order are untouched -- outcomes stay
+        bit-identical.
         """
         task = core.current
         if task is None:
@@ -711,38 +713,42 @@ class Machine:
         elapsed = now - core.run_started
         if elapsed < -_EPS:
             raise SimulationError(f"negative elapsed {elapsed}")
-        elapsed = max(0.0, elapsed)
+        # Only a positive window is charged, so there is no need to clamp
+        # a tiny negative ``elapsed`` to 0.0 first.
         if elapsed > 0.0:
             pending = task.pending_penalty
-            penalty_used = min(elapsed, pending)
+            penalty_used = pending if pending < elapsed else elapsed
             task.pending_penalty = pending - penalty_used
             productive = elapsed - penalty_used
             segment = task.current_segment
             work = 0.0
             if segment is not None and productive > 0.0:
                 remaining = segment.remaining
-                work = min(productive * core.rate_for(task), remaining)
+                work = productive * core.rate_for(task)
+                if remaining < work:
+                    work = remaining
                 remaining -= work
                 if remaining < _EPS:
                     remaining = 0.0
                 segment.remaining = remaining
             task.sum_exec_runtime += elapsed
-            task.exec_time_by_kind[core.kind.value] += elapsed
+            task.exec_time_by_kind[core.kind_value] += elapsed
             task.work_done += work
-            counters = task.counters
-            if counters is not None and work > 0.0:
-                counters.record_compute(work, productive)
+            if work > 0.0:
+                counters = task.counters
+                if counters is not None:
+                    counters.record_compute(work, productive)
             self.scheduler.charge(task, core, elapsed, now)
             core.busy_time += elapsed
-            stats = core.stats
-            by_scale = stats.setdefault("busy_by_scale", {})
+            by_scale = core.busy_by_scale
             scale = core.freq_scale
             by_scale[scale] = by_scale.get(scale, 0.0) + elapsed
-            if self._attr is not None:
+            attr = self._attr
+            if attr is not None:
                 # attr_since tracks core.run_started, so this window is
                 # exactly ``elapsed``: penalty share -> migrating, rest ->
                 # running on this core kind.
-                self._attr.on_exec(
+                attr.on_exec(
                     task,
                     RUNNING_BIG if core.is_big else RUNNING_LITTLE,
                     elapsed,
@@ -865,13 +871,15 @@ class Machine:
         (a task woken by one of our zero-time actions preempted us).
 
         Hot path: every resumption funnels through this loop, so the
-        generator handle and the action dispatcher are hoisted into
-        locals up front.
+        generator handle, the action dispatcher and the livelock bound are
+        hoisted into locals up front.  ``task.actions`` is read afresh on
+        every call: instrumentation may wrap a task's generator.
         """
         actions = task.actions
         send = actions.send
         apply_action = self._apply_action
-        for _ in range(self.config.max_actions_per_advance):
+        max_actions = self._max_actions
+        for _ in range(max_actions):
             try:
                 if not task.gen_started:
                     task.gen_started = True
@@ -911,7 +919,7 @@ class Machine:
             if not task.is_running:
                 return "preempted"
         raise SimulationError(
-            f"task {task.name} processed {self.config.max_actions_per_advance} "
+            f"task {task.name} processed {max_actions} "
             "zero-time actions without computing or blocking (livelock)"
         )
 
@@ -1063,8 +1071,7 @@ class Machine:
             core_busy_time={c.core_id: c.busy_time for c in self.cores},
             trace=legacy_trace,
             core_busy_by_scale={
-                c.core_id: dict(c.stats.get("busy_by_scale", {}))
-                for c in self.cores
+                c.core_id: dict(c.busy_by_scale) for c in self.cores
             },
             events=events,
             metrics=self._snapshot_metrics(makespan),

@@ -4,7 +4,7 @@ The hot-vs-reference parity tests compare two paths of the *current*
 code, so a change both paths share (the synthetic PMU, for one) could
 drift unnoticed.  This table was generated before counter synthesis
 became lazy and pins every digest as an absolute value: 4 schedulers x
-2 topologies x 2 mixes x {pure oracle, learned default model}.  The
+4 topologies x 2 mixes x {pure oracle, learned default model}.  The
 learned points also pin the trained model, whose coefficients are fitted
 on counter totals, so any bit of counter drift changes them.
 
@@ -39,7 +39,7 @@ from repro.workloads.programs import ProgramEnv
 GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
 
 SCHEDULERS = ("linux", "wash", "colab", "gts")
-CONFIGS = ("2B2S", "4B4S")
+CONFIGS = ("2B2S", "2B4S", "4B2S", "4B4S")
 MIX_NAMES = ("Sync-1", "Rand-10")
 ESTIMATORS = ("oracle", "learned")
 SEED = 13

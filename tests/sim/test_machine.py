@@ -238,6 +238,22 @@ class TestBlockingAndWaking:
         result = machine.run()
         assert result.makespan == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_sleep_wait_is_counted_from_any_start_time(self, start):
+        # t=0.0 is a valid wait start, not a missing one.
+        machine = make_machine(1, 0, **FREE)
+
+        def sleeper():
+            if start:
+                yield Compute(start)
+            yield Sleep(5.0)
+
+        task = Task("s", 0, sleeper(), NEUTRAL_PROFILE)
+        machine.add_task(task)
+        result = machine.run()
+        assert result.tasks[0].own_wait_time == pytest.approx(5.0)
+        assert task.counters.totals["quiesceCycles"] > 0.0
+
     def test_deadlock_detected(self):
         machine = make_machine(1, 0, **FREE)
         lock = Mutex(machine.futexes)

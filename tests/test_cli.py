@@ -295,6 +295,24 @@ class TestCleanErrors:
         for config in ("2B2S", "2B4S", "4B2S", "4B4S"):
             assert config in captured.err
 
+    def test_unknown_scheduler_fails_before_training(self, monkeypatch, capsys):
+        import repro.model.training as training
+
+        def no_training():
+            raise AssertionError("model trained before the names were checked")
+
+        monkeypatch.setattr(training, "default_speedup_model", no_training)
+        base = [arg for arg in self.BASE if arg != "--oracle"]
+        code = main(base + ["run", "--mix", "Sync-1", "--schedulers", "linux,bogus"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown scheduler 'bogus'")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        for name in ("linux", "wash", "colab", "gts"):
+            assert name in captured.err
+
     def test_trace_unknown_mix(self, tmp_path, capsys):
         code = main(
             self.BASE
