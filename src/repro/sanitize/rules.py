@@ -426,9 +426,27 @@ def kern001(module: ParsedModule) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 
 #: Functions that run once per simulator event (or per dispatch): the
-#: single-run hot loop.  ``step`` is Engine.step; the underscored names
-#: are Machine internals.
+#: single-run hot loop.  Bare names match a function of that name in any
+#: class: ``step`` is Engine.step; the underscored names are Machine
+#: internals.
 _PERF_HOT_FUNCTIONS = {"_dispatch", "_account", "_advance", "step"}
+#: Hot methods matched by ``(class, method)``, for names too common to
+#: match bare: ``Engine.run`` is the fused event loop, ``Machine.run`` is
+#: not per event.
+_PERF_HOT_METHODS = {("Engine", "run")}
+
+
+def _hot_function_label(module: ParsedModule, node: ast.AST) -> str | None:
+    """How PERF001 names ``node`` if it is a hot function, else ``None``."""
+    if node.name in _PERF_HOT_FUNCTIONS:
+        return node.name
+    owner = next(module.parents(node), None)
+    if (
+        isinstance(owner, ast.ClassDef)
+        and (owner.name, node.name) in _PERF_HOT_METHODS
+    ):
+        return f"{owner.name}.{node.name}"
+    return None
 
 
 @rule(
@@ -437,17 +455,18 @@ _PERF_HOT_FUNCTIONS = {"_dispatch", "_account", "_advance", "step"}
     SIM_KERNEL_SCOPE,
 )
 def perf001(module: ParsedModule) -> Iterator[Violation]:
-    """Machine._dispatch/_account/_advance and Engine.step execute once per
-    simulator event; a list/dict/set comprehension, generator
-    expression, or sorted() call there allocates (or sorts) on every
-    event and regresses single-run speed for all sweeps at once.  Hoist
-    the work out of the loop or keep an incrementally maintained
+    """Machine._dispatch/_account/_advance, Engine.step and Engine.run
+    execute once per simulator event; a list/dict/set comprehension,
+    generator expression, or sorted() call there allocates (or sorts) on
+    every event and regresses single-run speed for all sweeps at once.
+    Hoist the work out of the loop or keep an incrementally maintained
     structure.
     """
     for node in ast.walk(module.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if node.name not in _PERF_HOT_FUNCTIONS:
+        label = _hot_function_label(module, node)
+        if label is None:
             continue
         for inner in ast.walk(node):
             if isinstance(
@@ -456,7 +475,7 @@ def perf001(module: ParsedModule) -> Iterator[Violation]:
             ):
                 yield module.violation(
                     inner, "PERF001",
-                    f"comprehension inside hot function {node.name}() "
+                    f"comprehension inside hot function {label}() "
                     "allocates per event; hoist it out of the event loop",
                 )
             elif (
@@ -466,7 +485,7 @@ def perf001(module: ParsedModule) -> Iterator[Violation]:
             ):
                 yield module.violation(
                     inner, "PERF001",
-                    f"sorted() inside hot function {node.name}() re-sorts "
+                    f"sorted() inside hot function {label}() re-sorts "
                     "per event; maintain an ordered structure instead",
                 )
 

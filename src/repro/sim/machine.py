@@ -80,10 +80,12 @@ from repro.workloads.actions import (
 #: Residual work below this is considered retired (float guard).
 _EPS = 1e-9
 
-# Timer kinds as module constants: the per-slice paths name them on every
-# push and a global read is cheaper than an enum class attribute.
+# Timer kinds and the running state as module constants: the per-slice and
+# per-action paths name them on every push or action, and a global read is
+# cheaper than an enum class attribute.
 _SEGMENT_DONE = EventKind.SEGMENT_DONE
 _SLICE_EXPIRY = EventKind.SLICE_EXPIRY
+_RUNNING = TaskState.RUNNING
 
 
 @dataclass
@@ -311,6 +313,8 @@ class Machine:
         self._hotpath = self.config.hotpath
         #: Livelock guard of :meth:`_advance`, read once per run.
         self._max_actions = self.config.max_actions_per_advance
+        #: Action type -> handler; subclasses are added on first use.
+        self._handlers = self._build_handlers()
         #: SEGMENT_DONE pushes skipped because a live slice expiry proves
         #: they could never fire valid.
         self._suppressed = 0
@@ -871,13 +875,14 @@ class Machine:
         (a task woken by one of our zero-time actions preempted us).
 
         Hot path: every resumption funnels through this loop, so the
-        generator handle, the action dispatcher and the livelock bound are
-        hoisted into locals up front.  ``task.actions`` is read afresh on
-        every call: instrumentation may wrap a task's generator.
+        generator handle, the handler table and the livelock bound are
+        hoisted into locals up front, and a plain :class:`Compute` (the
+        common action) is handled inline.  ``task.actions`` is read afresh
+        on every call: instrumentation may wrap a task's generator.
         """
         actions = task.actions
         send = actions.send
-        apply_action = self._apply_action
+        handlers = self._handlers
         max_actions = self._max_actions
         for _ in range(max_actions):
             try:
@@ -892,118 +897,179 @@ class Machine:
                 self._finish_task(task, core, now)
                 return "done"
 
-            status = apply_action(task, core, action, now)
-            if status == "compute":
-                return "compute"
-            if status == "blocked":
-                task.blocked_action = action
-                task.mark_sleeping()
-                if self._attr is not None:
-                    self._attr.transition(
-                        task,
-                        BLOCKED_SLEEP if isinstance(action, Sleep)
-                        else BLOCKED_FUTEX,
-                        now,
-                    )
-                core.current = None
-                core.bump_version()
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        now, TraceKind.DESCHEDULE, core_id=core.core_id,
-                        tid=task.tid, name=task.name, reason="blocked",
-                    )
-                self._dispatch_pending.add(core.core_id)
-                return "blocked"
+            if type(action) is Compute:
+                if action.remaining > 0.0:
+                    task.current_segment = action
+                    return "compute"
+                status = "continue"  # zero-work segment: nothing to execute
+            else:
+                handler = handlers.get(type(action))
+                if handler is None:
+                    handler = self._resolve_handler(task, action)
+                status = handler(task, core, action, now)
+                if status == "compute":
+                    return "compute"
+                if status == "blocked":
+                    task.blocked_action = action
+                    task.mark_sleeping()
+                    if self._attr is not None:
+                        self._attr.transition(
+                            task,
+                            BLOCKED_SLEEP if isinstance(action, Sleep)
+                            else BLOCKED_FUTEX,
+                            now,
+                        )
+                    core.current = None
+                    core.bump_version()
+                    if self._tracer.enabled:
+                        self._tracer.emit(
+                            now, TraceKind.DESCHEDULE, core_id=core.core_id,
+                            tid=task.tid, name=task.name, reason="blocked",
+                        )
+                    self._dispatch_pending.add(core.core_id)
+                    return "blocked"
             # Zero-time action completed; the wakeups it caused may have
             # preempted this very task.
-            if not task.is_running:
+            if task.state is not _RUNNING:
                 return "preempted"
         raise SimulationError(
             f"task {task.name} processed {max_actions} "
             "zero-time actions without computing or blocking (livelock)"
         )
 
-    def _apply_action(self, task: Task, core: Core, action, now: float) -> str:
-        """Execute one action; returns "compute" / "blocked" / "continue"."""
-        if isinstance(action, Compute):
-            if action.remaining <= 0.0:
-                return "continue"  # zero-work segment: nothing to execute
-            task.current_segment = action
-            return "compute"
-        if isinstance(action, LockAcquire):
-            outcome = action.mutex.acquire(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, LockRelease):
-            self._wake_all(action.mutex.release(task, now), now)
-            return "continue"
-        if isinstance(action, SemAcquire):
-            outcome = action.semaphore.acquire(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, SemRelease):
-            self._wake_all(action.semaphore.release(task, now), now)
-            return "continue"
-        if isinstance(action, ReadAcquire):
-            outcome = action.rwlock.acquire_read(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, ReadRelease):
-            self._wake_all(action.rwlock.release_read(task, now), now)
-            return "continue"
-        if isinstance(action, WriteAcquire):
-            outcome = action.rwlock.acquire_write(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, WriteRelease):
-            self._wake_all(action.rwlock.release_write(task, now), now)
-            return "continue"
-        if isinstance(action, BarrierWait):
-            outcome = action.barrier.arrive(task, now)
-            if outcome == "blocked":
-                return "blocked"
-            self._wake_all(outcome, now)
-            return "continue"
-        if isinstance(action, CondWait):
-            action.cond.wait(task, now)
-            return "blocked"
-        if isinstance(action, CondSignal):
-            self._wake_all(action.cond.signal(task, now), now)
-            return "continue"
-        if isinstance(action, CondBroadcast):
-            self._wake_all(action.cond.broadcast(task, now), now)
-            return "continue"
-        if isinstance(action, PipePut):
-            outcome = action.pipe.put(task, action.item, now)
-            if outcome == "blocked":
-                return "blocked"
-            self._wake_all(outcome, now)
-            return "continue"
-        if isinstance(action, PipeGet):
-            outcome = action.pipe.get(task, now)
-            if outcome == "blocked":
-                return "blocked"
-            item, woken = outcome
-            task.pending_result = item
-            self._wake_all(woken, now)
-            return "continue"
-        if isinstance(action, Spawn):
-            spawned = action.task
-            if spawned.counters is None:
-                spawned.counters = PerformanceCounters(
-                    profile=spawned.profile,
-                    rng=np.random.default_rng(self.rng.integers(0, 2**63)),
-                )
-            if self._hotpath:
-                spawned.prime_speedup_cache()
-            spawned.spawn_time = now
-            self.tasks.append(spawned)
-            self.app_names.setdefault(spawned.app_id, task.name)
-            self._wake_task(spawned, now, is_new=True)
-            return "continue"
-        if isinstance(action, Sleep):
-            task.wait_started_at = now
-            self.engine.push(
-                Event(time=now + action.duration, kind=EventKind.WAKEUP, payload=task)
-            )
-            return "blocked"
+    # Action handlers: one per action type, each returning "compute",
+    # "blocked" or "continue".  :meth:`_build_handlers` keys them by type.
+    def _build_handlers(self) -> dict[type, object]:
+        """The action-type -> handler table :meth:`_advance` dispatches on."""
+        return {
+            Compute: self._do_compute,
+            LockAcquire: self._do_lock_acquire,
+            LockRelease: self._do_lock_release,
+            SemAcquire: self._do_sem_acquire,
+            SemRelease: self._do_sem_release,
+            ReadAcquire: self._do_read_acquire,
+            ReadRelease: self._do_read_release,
+            WriteAcquire: self._do_write_acquire,
+            WriteRelease: self._do_write_release,
+            BarrierWait: self._do_barrier_wait,
+            CondWait: self._do_cond_wait,
+            CondSignal: self._do_cond_signal,
+            CondBroadcast: self._do_cond_broadcast,
+            PipePut: self._do_pipe_put,
+            PipeGet: self._do_pipe_get,
+            Spawn: self._do_spawn,
+            Sleep: self._do_sleep,
+        }
+
+    def _resolve_handler(self, task: Task, action):
+        """Handler of an action type missing from the table.
+
+        A subclass of an action type runs like its nearest base in the
+        table (as an ``isinstance`` test would have it); the answer is
+        cached under the subclass.
+        """
+        handlers = self._handlers
+        for base in type(action).__mro__:
+            handler = handlers.get(base)
+            if handler is not None:
+                handlers[type(action)] = handler
+                return handler
         raise SimulationError(f"unknown action {action!r} from {task.name}")
+
+    def _do_compute(self, task: Task, core: Core, action, now: float) -> str:
+        if action.remaining <= 0.0:
+            return "continue"  # zero-work segment: nothing to execute
+        task.current_segment = action
+        return "compute"
+
+    def _do_lock_acquire(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.mutex.acquire(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _do_lock_release(self, task: Task, core: Core, action, now: float) -> str:
+        self._wake_all(action.mutex.release(task, now), now)
+        return "continue"
+
+    def _do_sem_acquire(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.semaphore.acquire(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _do_sem_release(self, task: Task, core: Core, action, now: float) -> str:
+        self._wake_all(action.semaphore.release(task, now), now)
+        return "continue"
+
+    def _do_read_acquire(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.rwlock.acquire_read(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _do_read_release(self, task: Task, core: Core, action, now: float) -> str:
+        self._wake_all(action.rwlock.release_read(task, now), now)
+        return "continue"
+
+    def _do_write_acquire(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.rwlock.acquire_write(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _do_write_release(self, task: Task, core: Core, action, now: float) -> str:
+        self._wake_all(action.rwlock.release_write(task, now), now)
+        return "continue"
+
+    def _do_barrier_wait(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.barrier.arrive(task, now)
+        if outcome == "blocked":
+            return "blocked"
+        self._wake_all(outcome, now)
+        return "continue"
+
+    def _do_cond_wait(self, task: Task, core: Core, action, now: float) -> str:
+        action.cond.wait(task, now)
+        return "blocked"
+
+    def _do_cond_signal(self, task: Task, core: Core, action, now: float) -> str:
+        self._wake_all(action.cond.signal(task, now), now)
+        return "continue"
+
+    def _do_cond_broadcast(self, task: Task, core: Core, action, now: float) -> str:
+        self._wake_all(action.cond.broadcast(task, now), now)
+        return "continue"
+
+    def _do_pipe_put(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.pipe.put(task, action.item, now)
+        if outcome == "blocked":
+            return "blocked"
+        self._wake_all(outcome, now)
+        return "continue"
+
+    def _do_pipe_get(self, task: Task, core: Core, action, now: float) -> str:
+        outcome = action.pipe.get(task, now)
+        if outcome == "blocked":
+            return "blocked"
+        item, woken = outcome
+        task.pending_result = item
+        self._wake_all(woken, now)
+        return "continue"
+
+    def _do_spawn(self, task: Task, core: Core, action, now: float) -> str:
+        spawned = action.task
+        if spawned.counters is None:
+            spawned.counters = PerformanceCounters(
+                profile=spawned.profile,
+                rng=np.random.default_rng(self.rng.integers(0, 2**63)),
+            )
+        if self._hotpath:
+            spawned.prime_speedup_cache()
+        spawned.spawn_time = now
+        self.tasks.append(spawned)
+        self.app_names.setdefault(spawned.app_id, task.name)
+        self._wake_task(spawned, now, is_new=True)
+        return "continue"
+
+    def _do_sleep(self, task: Task, core: Core, action, now: float) -> str:
+        task.wait_started_at = now
+        self.engine.push(
+            Event(time=now + action.duration, kind=EventKind.WAKEUP, payload=task)
+        )
+        return "blocked"
 
     def _wake_all(self, tasks: list[Task], now: float) -> None:
         for woken in tasks:

@@ -26,10 +26,14 @@ action yields ``None``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Union
 
 from repro.errors import WorkloadError
+
+#: Upper bound of the finiteness checks (a module global is a cheap load).
+_INF = math.inf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.sync import Barrier, CondVar, Mutex, Pipe, RWLock, Semaphore
@@ -41,11 +45,13 @@ class Compute:
     """Execute ``work`` big-core-milliseconds of computation.
 
     Attributes:
-        work: Total work of the segment (>= 0), in big-core milliseconds.
+        work: Total work of the segment (finite, >= 0), in big-core
+            milliseconds.
         speedup: Optional phase-specific ground-truth big-vs-little
-            speedup overriding the thread's profile speedup.  Used by
-            models with distinct serial/parallel phase characteristics
-            (e.g. swaptions' core-insensitive bottleneck threads).
+            speedup (finite, >= 1) overriding the thread's profile
+            speedup.  Used by models with distinct serial/parallel phase
+            characteristics (e.g. swaptions' core-insensitive bottleneck
+            threads).
         remaining: Work not yet retired; maintained by the machine.
     """
 
@@ -54,10 +60,15 @@ class Compute:
     remaining: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.work < 0:
-            raise WorkloadError(f"negative work {self.work}")
-        if self.speedup is not None and self.speedup < 1.0:
-            raise WorkloadError(f"speedup {self.speedup} < 1.0")
+        # One chained comparison on the common path: this runs per segment.
+        if not 0.0 <= self.work < _INF:
+            if self.work < 0:
+                raise WorkloadError(f"negative work {self.work}")
+            raise WorkloadError(f"work must be finite, got {self.work}")
+        if self.speedup is not None and not 1.0 <= self.speedup < _INF:
+            if self.speedup < 1.0:
+                raise WorkloadError(f"speedup {self.speedup} < 1.0")
+            raise WorkloadError(f"speedup must be finite, got {self.speedup}")
         self.remaining = self.work
 
 
@@ -130,14 +141,16 @@ class Sleep:
     """Sleep for a fixed simulated duration (not CPU time).
 
     Attributes:
-        duration: Milliseconds to stay blocked (> 0).
+        duration: Milliseconds to stay blocked (finite, > 0).
     """
 
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise WorkloadError(f"sleep duration must be > 0, got {self.duration}")
+        if not 0.0 < self.duration < _INF:
+            raise WorkloadError(
+                f"sleep duration must be finite and > 0, got {self.duration}"
+            )
 
 
 Action = Union[

@@ -10,6 +10,7 @@ scale), and :class:`ProgramInstance` is the finished bundle handed to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,12 @@ from repro.sim.counters import MicroArchProfile, profile_from_traits
 
 #: Sentinel item that tells a pipe consumer to shut down.
 POISON = "__poison__"
+
+#: Standard normals drawn per refill of an env's jitter buffer.
+JITTER_BLOCK = 256
+
+#: Upper bound of the finiteness checks (a module global is a cheap load).
+_INF = math.inf
 
 
 @dataclass
@@ -34,11 +41,35 @@ class ProgramEnv:
         work_scale: Multiplies every compute segment; lets the experiment
             harness shrink simulations uniformly without changing their
             relative structure.
+
+    Jitter-stream contract: builders may draw from ``rng`` freely while
+    they build tasks, but once the first :func:`jittered` call has run,
+    ``rng`` belongs to the jitter stream alone.  :func:`jittered` draws
+    standard normals ``JITTER_BLOCK`` at a time into a buffer; a draw
+    from ``rng`` by anyone else between two refills would be silently
+    folded into the stream, so each refill checks that the generator
+    state is still the one the previous refill left and raises
+    :class:`~repro.errors.WorkloadError` otherwise.
     """
 
     futexes: FutexTable
     rng: np.random.Generator
     work_scale: float = 1.0
+    #: Standard normals of the current block (``None`` before the first
+    #: jitter draw).
+    _normals: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Index of the next unused normal; ``JITTER_BLOCK`` forces a refill.
+    _next: int = field(default=JITTER_BLOCK, init=False, repr=False, compare=False)
+    #: Lognormal factors of the current block, per sigma seen in it.
+    _factors: dict[float, list[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: ``rng.bit_generator.state`` right after the last refill.
+    _rng_state: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def for_machine(cls, machine, work_scale: float = 1.0) -> "ProgramEnv":
@@ -113,9 +144,49 @@ def make_task(
     )
 
 
+def _refill_jitter(env: ProgramEnv) -> None:
+    """Draw the next block of standard normals into ``env``'s buffer."""
+    rng = env.rng
+    if env._rng_state is not None and rng.bit_generator.state != env._rng_state:
+        raise WorkloadError(
+            "env.rng was drawn from after the jitter stream started; "
+            "draw build-time randomness before any task runs"
+        )
+    env._normals = rng.standard_normal(JITTER_BLOCK)
+    env._rng_state = rng.bit_generator.state
+    env._factors.clear()
+    env._next = 0
+
+
 def jittered(env: ProgramEnv, work: float, sigma: float = 0.2) -> float:
-    """Scaled work with lognormal jitter (never negative, mean ~= work)."""
-    if work < 0:
-        raise WorkloadError(f"negative work {work}")
-    factor = float(np.exp(env.rng.normal(-sigma * sigma / 2, sigma)))
-    return work * env.work_scale * factor
+    """Scaled work with lognormal jitter (never negative, mean ~= work).
+
+    Returns ``work * env.work_scale * exp(N(-sigma**2 / 2, sigma))``, one
+    normal per call from ``env.rng``, bit-identical to a scalar
+    ``np.exp(env.rng.normal(-sigma * sigma / 2, sigma))`` per call.  The
+    normals come from a buffer refilled ``JITTER_BLOCK`` at a time with
+    ``rng.standard_normal``: ``Generator.normal(loc, scale)`` is
+    ``loc + scale * z`` for the next ziggurat draw ``z``, so a block is
+    the same stream, and the factors of a block are computed once per
+    sigma with the same vectorised ``np.exp``.  See :class:`ProgramEnv`
+    for the contract this puts on ``env.rng``.
+
+    Raises:
+        WorkloadError: ``work`` or ``sigma`` is negative or not finite.
+    """
+    if not 0.0 <= work < _INF:
+        if work < 0:
+            raise WorkloadError(f"negative work {work}")
+        raise WorkloadError(f"work must be finite, got {work}")
+    if not 0.0 <= sigma < _INF:
+        raise WorkloadError(f"jitter sigma must be finite and >= 0, got {sigma}")
+    index = env._next
+    if index == JITTER_BLOCK:
+        _refill_jitter(env)
+        index = 0
+    env._next = index + 1
+    factors = env._factors.get(sigma)
+    if factors is None:
+        factors = np.exp(-sigma * sigma / 2 + sigma * env._normals).tolist()
+        env._factors[sigma] = factors
+    return work * env.work_scale * factors[index]

@@ -444,6 +444,28 @@ class TestPERF001:
         )
         assert codes == ["PERF001"]
 
+    def test_comprehension_in_engine_run_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "class Engine:\n"
+            "    def run(self):\n"
+            "        return [e for e in self._heap]\n",
+        )
+        assert codes == ["PERF001"]
+
+    def test_comprehension_in_machine_run_allowed(self, tmp_path):
+        # Only Engine.run is the event loop; run() elsewhere is not hot.
+        codes = lint_source(
+            tmp_path,
+            "class Machine:\n"
+            "    def run(self):\n"
+            "        return [t for t in self.tasks]\n"
+            "\n"
+            "def run(rows):\n"
+            "    return [r for r in rows]\n",
+        )
+        assert codes == []
+
     def test_cold_function_allowed(self, tmp_path):
         # Same constructs outside the per-event hot set are fine.
         codes = lint_source(

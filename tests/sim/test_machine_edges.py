@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchedulerError, SimulationError
+from repro.errors import SchedulerError, SimulationError, WorkloadError
 from repro.kernel.task import Task
 from repro.schedulers.cfs import CFSScheduler
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
-from repro.workloads.actions import Compute
+from repro.workloads.actions import Compute, Sleep
 from tests.conftest import NEUTRAL_PROFILE, make_machine, make_simple_task
 
 
@@ -111,6 +111,31 @@ class TestActionEdgeCases:
 
         machine.add_task(Task("bad", 0, bad(), NEUTRAL_PROFILE))
         with pytest.raises(SimulationError, match="unknown action"):
+            machine.run()
+
+    def test_nan_compute_rejected(self):
+        # Used to run to completion with a garbage makespan.
+        machine = make_machine(1, 0)
+
+        def bad():
+            yield Compute(float("nan"))
+            yield Compute(1.0)
+
+        machine.add_task(Task("bad", 0, bad(), NEUTRAL_PROFILE))
+        with pytest.raises(WorkloadError, match="finite"):
+            machine.run()
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_sleep_rejected(self, duration):
+        # Used to fail later with a misleading segment-done error.
+        machine = make_machine(1, 0)
+
+        def bad():
+            yield Compute(1.0)
+            yield Sleep(duration)
+
+        machine.add_task(Task("bad", 0, bad(), NEUTRAL_PROFILE))
+        with pytest.raises(WorkloadError, match="sleep duration"):
             machine.run()
 
     def test_generator_exception_propagates(self):

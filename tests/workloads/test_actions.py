@@ -18,7 +18,7 @@ class TestCompute:
         assert Compute(0.0).remaining == 0.0
 
     def test_negative_work_rejected(self):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(WorkloadError, match="negative work -1.0"):
             Compute(-1.0)
 
     def test_speedup_below_one_rejected(self):
@@ -27,6 +27,16 @@ class TestCompute:
 
     def test_speedup_override_stored(self):
         assert Compute(1.0, speedup=2.2).speedup == 2.2
+
+    @pytest.mark.parametrize("work", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_work_rejected(self, work):
+        with pytest.raises(WorkloadError):
+            Compute(work)
+
+    @pytest.mark.parametrize("speedup", [float("nan"), float("inf")])
+    def test_non_finite_speedup_rejected(self, speedup):
+        with pytest.raises(WorkloadError, match="finite"):
+            Compute(1.0, speedup=speedup)
 
 
 class TestSleep:
@@ -40,3 +50,8 @@ class TestSleep:
     def test_negative_duration_rejected(self):
         with pytest.raises(WorkloadError):
             Sleep(-1.0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(WorkloadError, match="finite"):
+            Sleep(duration)

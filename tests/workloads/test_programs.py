@@ -67,8 +67,18 @@ class TestJittered:
         assert np.mean(values) == pytest.approx(1.0, rel=0.05)
 
     def test_negative_rejected(self):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(WorkloadError, match="negative work"):
             jittered(env_with(), -1.0)
+
+    @pytest.mark.parametrize("work", [float("nan"), float("inf")])
+    def test_non_finite_work_rejected(self, work):
+        with pytest.raises(WorkloadError, match="finite"):
+            jittered(env_with(), work)
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(WorkloadError, match="sigma"):
+            jittered(env_with(), 1.0, sigma=sigma)
 
 
 class TestFactories:
