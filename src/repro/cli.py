@@ -487,7 +487,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     """Telemetry-enabled sweep: results + merged timeline + report."""
     import json
 
-    from repro.experiments.runner import sweep
+    from repro.experiments.runner import lookup_config, lookup_mix, sweep
     from repro.obs.dist import (
         DistTelemetry,
         SweepProgress,
@@ -495,9 +495,14 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     )
 
     schedulers = _scheduler_names(args.schedulers)
-    ctx = _context(args)
     mixes = [m.strip() for m in args.mixes.split(",") if m.strip()]
     configs = tuple(c.strip() for c in args.configs.split(","))
+    # Checked before the progress line starts, so an error is a clean line.
+    for mix in mixes:
+        lookup_mix(mix)
+    for config in configs:
+        lookup_config(config)
+    ctx = _context(args)
     total = len(mixes) * len(configs) * len(schedulers)
     telemetry = DistTelemetry(
         progress=SweepProgress(total, enabled=not args.no_progress)

@@ -19,6 +19,7 @@ deterministic merging (:mod:`repro.parallel.executor`).
 
 from __future__ import annotations
 
+import math
 import pathlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -128,6 +129,8 @@ class ExperimentContext:
             the model ablation or for fast tests.
         jobs: Default worker-process count for :func:`sweep` and the
             figure drivers; 1 means serial execution in this process.
+            A ``work_scale`` that is not positive and finite, or ``jobs``
+            below 1, raises :class:`~repro.errors.ExperimentError`.
         cache_dir: Directory for the persistent on-disk result cache; the
             default ``None`` disables persistence (pass
             :func:`repro.parallel.cache.default_cache_dir` for the
@@ -178,6 +181,12 @@ class ExperimentContext:
     _baselines: BaselineCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.work_scale) and self.work_scale > 0.0):
+            raise ExperimentError(
+                f"work scale must be positive and finite, got {self.work_scale}"
+            )
+        if self.jobs < 1:
+            raise ExperimentError(f"jobs must be at least 1, got {self.jobs}")
         self._baselines = BaselineCache(seed=self.seed, work_scale=self.work_scale)
         registry = self.obs_metrics
         self._run_cache = BoundedCache(
@@ -258,13 +267,7 @@ class ExperimentContext:
         return make_scheduler(name)
 
     def topology(self, config: str, big_first: bool) -> Topology:
-        base = standard_topologies().get(config)
-        if base is None:
-            raise ExperimentError(
-                f"unknown config {config!r}; expected one of "
-                + ", ".join(sorted(standard_topologies()))
-            )
-        return base.with_order(big_first)
+        return lookup_config(config).with_order(big_first)
 
     def baselines_for(self, mix: WorkloadMix, config: str) -> dict[str, float]:
         """Isolated big-only baselines for every app of ``mix``."""
@@ -283,6 +286,18 @@ def lookup_mix(mix_index: str) -> WorkloadMix:
             f"unknown mix {mix_index!r}; expected one of {', '.join(MIXES)}"
         )
     return mix
+
+
+def lookup_config(config: str) -> Topology:
+    """The standard hardware configuration named ``config`` (e.g. ``2B2S``)."""
+    topologies = standard_topologies()
+    base = topologies.get(config)
+    if base is None:
+        raise ExperimentError(
+            f"unknown config {config!r}; expected one of "
+            + ", ".join(sorted(topologies))
+        )
+    return base
 
 
 def run_mix_once(

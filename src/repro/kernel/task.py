@@ -49,6 +49,16 @@ class TaskState(enum.Enum):
     DONE = "done"
 
 
+#: Module-level aliases of the states: a global read is an order of
+#: magnitude cheaper than an enum-member read, and the transitions and
+#: predicates below run on every dispatch and block.
+_NEW = TaskState.NEW
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_SLEEPING = TaskState.SLEEPING
+_DONE = TaskState.DONE
+
+
 class CoreLabel(enum.Enum):
     """Core-allocation label assigned by the multi-factor labeler.
 
@@ -141,7 +151,7 @@ class Task:
         self.actions = actions
         self.profile = profile
 
-        self.state = TaskState.NEW
+        self.state = _NEW
 
         # --- CFS accounting -------------------------------------------------
         #: Virtual runtime in milliseconds (possibly speedup-scaled by COLAB).
@@ -233,28 +243,33 @@ class Task:
 
     def mark_ready(self) -> None:
         """NEW, RUNNING (preempted) or SLEEPING (woken) -> READY."""
-        self._require(TaskState.NEW, TaskState.RUNNING, TaskState.SLEEPING)
-        self.state = TaskState.READY
+        state = self.state
+        if state is not _RUNNING and state is not _SLEEPING and state is not _NEW:
+            self._require(TaskState.NEW, TaskState.RUNNING, TaskState.SLEEPING)
+        self.state = _READY
         self.running_on = None
 
     def mark_running(self, core_id: int, core_kind: str) -> None:
         """READY -> RUNNING on ``core_id``."""
-        self._require(TaskState.READY)
-        self.state = TaskState.RUNNING
+        if self.state is not _READY:
+            self._require(TaskState.READY)
+        self.state = _RUNNING
         self.rq_core_id = None
         self.running_on = core_id
         self.last_core_kind = core_kind
 
     def mark_sleeping(self) -> None:
         """RUNNING -> SLEEPING (blocked on a futex)."""
-        self._require(TaskState.RUNNING)
-        self.state = TaskState.SLEEPING
+        if self.state is not _RUNNING:
+            self._require(TaskState.RUNNING)
+        self.state = _SLEEPING
         self.running_on = None
 
     def mark_done(self, now: float) -> None:
         """RUNNING -> DONE (action stream exhausted)."""
-        self._require(TaskState.RUNNING)
-        self.state = TaskState.DONE
+        if self.state is not _RUNNING:
+            self._require(TaskState.RUNNING)
+        self.state = _DONE
         self.running_on = None
         self.finish_time = now
 
@@ -263,15 +278,15 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def is_runnable(self) -> bool:
-        return self.state is TaskState.READY
+        return self.state is _READY
 
     @property
     def is_running(self) -> bool:
-        return self.state is TaskState.RUNNING
+        return self.state is _RUNNING
 
     @property
     def is_done(self) -> bool:
-        return self.state is TaskState.DONE
+        return self.state is _DONE
 
     def allows_core(self, core_id: int) -> bool:
         """True if the affinity mask (if any) permits ``core_id``."""

@@ -428,8 +428,12 @@ def kern001(module: ParsedModule) -> Iterator[Violation]:
 #: Functions that run once per simulator event (or per dispatch): the
 #: single-run hot loop.  Bare names match a function of that name in any
 #: class: ``step`` is Engine.step; the underscored names are Machine
-#: internals.
-_PERF_HOT_FUNCTIONS = {"_dispatch", "_account", "_advance", "step"}
+#: internals, ``_on_segment_done`` and ``_schedule_segment_done`` being
+#: the handler chain of the most frequent event, a segment completion.
+_PERF_HOT_FUNCTIONS = {
+    "_dispatch", "_account", "_advance", "_on_segment_done",
+    "_schedule_segment_done", "step",
+}
 #: Hot methods matched by ``(class, method)``, for names too common to
 #: match bare: ``Engine.run`` is the fused event loop, ``Machine.run`` is
 #: not per event.
@@ -455,7 +459,8 @@ def _hot_function_label(module: ParsedModule, node: ast.AST) -> str | None:
     SIM_KERNEL_SCOPE,
 )
 def perf001(module: ParsedModule) -> Iterator[Violation]:
-    """Machine._dispatch/_account/_advance, Engine.step and Engine.run
+    """Machine._dispatch/_account/_advance, the segment-completion chain
+    (_on_segment_done/_schedule_segment_done), Engine.step and Engine.run
     execute once per simulator event; a list/dict/set comprehension,
     generator expression, or sorted() call there allocates (or sorts) on
     every event and regresses single-run speed for all sweeps at once.

@@ -90,9 +90,6 @@ class Core:
     #: dispatch will fire; lets the machine prove a segment-done event
     #: scheduled after it can never be observed (stale-event suppression).
     slice_deadline: float = 0.0
-    #: Scratch pool of recycled timer events (hot path only; stays empty
-    #: on the reference path so event identity is unchanged there).
-    event_pool: list = field(default_factory=list)
 
     # --- statistics -------------------------------------------------------
     busy_time: float = 0.0

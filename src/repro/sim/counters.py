@@ -158,7 +158,8 @@ def profile_from_traits(
     """
 
     def clamped(base: float) -> float:
-        return float(np.clip(base + rng.normal(0.0, jitter), 0.0, 1.0))
+        # Same value as float(np.clip(v, 0.0, 1.0)) for a Python float.
+        return min(max(base + rng.normal(0.0, jitter), 0.0), 1.0)
 
     return MicroArchProfile(
         ilp=clamped(0.15 + 0.75 * compute_intensity),
@@ -211,13 +212,19 @@ class PerformanceCounters:
     bit-identical to eager accumulation, while runs that never read their
     counters (CFS, GTS, baselines, oracle-driven policies) skip the noise
     synthesis on every accounted slice.
+
+    ``rng`` is the noise Generator, or an integer seed: the first
+    materialisation then builds ``np.random.default_rng(seed)``, so a task
+    whose counters are never synthesised never builds a Generator.
     """
 
     __slots__ = (
         "profile", "rng", "_totals", "_window", "_rates", "_pending", "_mark"
     )
 
-    def __init__(self, profile: MicroArchProfile, rng: np.random.Generator) -> None:
+    def __init__(
+        self, profile: MicroArchProfile, rng: np.random.Generator | int
+    ) -> None:
         self.profile = profile
         self.rng = rng
         self._totals = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
@@ -275,8 +282,11 @@ class PerformanceCounters:
             return
         totals = self._totals
         window = self._window
+        rng = self.rng
+        if not isinstance(rng, np.random.Generator):
+            rng = self.rng = np.random.default_rng(rng)
         insts = np.frombuffer(pending)
-        noise = self.rng.normal(0.0, 0.05, 5 * n).reshape(n, 5)
+        noise = rng.normal(0.0, 0.05, 5 * n).reshape(n, 5)
         # Row 0 holds the current values; row i the amounts of record i.
         # Columns 0-5 feed the totals and columns 6-11 the window, whose
         # rows before the mark stay 0.0 (the window was reset after them).

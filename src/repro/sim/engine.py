@@ -83,10 +83,6 @@ class Engine:
         self.discard = None
         #: Events dropped by the fast-discard predicate.
         self.discarded = 0
-        #: Optional per-event recycling callback invoked by :meth:`run`
-        #: (not :meth:`step`) after each processed or discarded event (the
-        #: machine returns scratch timer events to a pool here).
-        self.recycle = None
         #: Optional sim-time sampler (:class:`repro.obs.timeseries.
         #: TimeseriesSampler`); when set, it is notified before the clock
         #: crosses ``sampler.next_due``.  The sampler is
@@ -210,11 +206,11 @@ class Engine:
         One fused loop does per event exactly what :meth:`step` does, in
         the same order -- past-event guard, :attr:`discard`,
         :attr:`sanitizer`, :attr:`sampler`, clock, processed count and
-        ``max_events`` guard, handler -- then hands the event to
-        :attr:`recycle`.  Every hook is resolved to a local once per call
-        instead of once per event, so installing or clearing a hook takes
-        effect at the next :meth:`run`; :meth:`stop` and handler
-        re-registration still take effect at the next event.
+        ``max_events`` guard, handler.  Every hook is resolved to a local
+        once per call instead of once per event, so installing or
+        clearing a hook takes effect at the next :meth:`run`;
+        :meth:`stop` and handler re-registration still take effect at the
+        next event.
 
         Args:
             until: If given, stop once simulated time would exceed this
@@ -228,7 +224,6 @@ class Engine:
         hot = self._hot
         handlers = self._handlers
         discard = self.discard
-        recycle = self.recycle
         sanitizer = self.sanitizer
         sampler = self.sampler
         max_events = self._max_events
@@ -269,7 +264,5 @@ class Engine:
                     profiler.stop(f"engine.handle.{kind.name}", handler_started)
                 else:
                     handler(event)
-            if recycle is not None:
-                recycle(event)
         if started is not None:
             profiler.stop("engine.run", started)

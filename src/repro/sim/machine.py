@@ -120,10 +120,11 @@ class MachineConfig:
     #: (:class:`repro.sim.dvfs.DVFSPolicy`).
     dvfs: object | None = None
     #: Enable the single-run hot path: stale-event suppression at push
-    #: time, fast discard of version-stale timers at pop time, a per-core
-    #: scratch event pool, and memoized speedup predictions.  Outcomes are
-    #: bit-identical with this on or off (the parity benchmark asserts
-    #: it); ``False`` selects the reference path for A/B comparison.
+    #: time, fast discard of version-stale timers at pop time, in-place
+    #: re-arming of fired segment timers, and memoized speedup
+    #: predictions.  Outcomes are bit-identical with this on or off (the
+    #: parity benchmark asserts it); ``False`` selects the reference path
+    #: for A/B comparison.
     hotpath: bool = True
     #: Per-task time-state attribution (:mod:`repro.obs.attribution`):
     #: cheap always-on counters decomposing each task's turnaround into
@@ -306,10 +307,10 @@ class Machine:
         self._ran = False
 
         #: Hot-path switches (see :attr:`MachineConfig.hotpath`).  The
-        #: discard/recycle hooks are only installed on the hot path, so
-        #: the reference path never drops an event early and its per-core
-        #: event pools stay empty (every timer is a fresh allocation,
-        #: exactly as before this optimisation existed).
+        #: discard hook is only installed on the hot path, so the
+        #: reference path never drops an event early, and it never
+        #: re-arms a fired timer (every timer is a fresh allocation,
+        #: exactly as before these optimisations existed).
         self._hotpath = self.config.hotpath
         #: Livelock guard of :meth:`_advance`, read once per run.
         self._max_actions = self.config.max_actions_per_advance
@@ -320,7 +321,6 @@ class Machine:
         self._suppressed = 0
         if self._hotpath:
             self.engine.discard = self._fast_discard
-            self.engine.recycle = self._recycle_event
 
         self.engine.register(EventKind.SEGMENT_DONE, self._on_segment_done)
         self.engine.register(EventKind.SLICE_EXPIRY, self._on_slice_expiry)
@@ -355,8 +355,7 @@ class Machine:
             raise SimulationError("cannot add tasks after run()")
         if task.counters is None:
             task.counters = PerformanceCounters(
-                profile=task.profile,
-                rng=np.random.default_rng(self.rng.integers(0, 2**63)),
+                profile=task.profile, rng=self.rng.integers(0, 2**63)
             )
         if self._hotpath:
             task.prime_speedup_cache()
@@ -435,8 +434,10 @@ class Machine:
         task.current_segment = None
         outcome = self._advance(task, core, now)
         if outcome == "compute":
-            self._schedule_segment_done(core, task, now)
-        self._drain(now)
+            self._schedule_segment_done(core, task, now, event)
+        # _drain with nothing pending only runs the sanitizer's check.
+        if self._dispatch_pending or self._sanitizer is not None:
+            self._drain(now)
 
     def _on_slice_expiry(self, event: Event) -> None:
         core = self.cores[event.core_id]
@@ -512,14 +513,7 @@ class Machine:
         if task is not None:
             core.bump_version()
             if task.current_segment is not None:
-                # Same shape as _start: fix the new slice deadline first,
-                # keep the segment-done-then-expiry push order.
-                slice_len = self.scheduler.slice_for(task, core)
-                core.slice_deadline = now + task.pending_penalty + slice_len
-                self._schedule_segment_done(core, task, now)
-                self._push_timer(
-                    core.slice_deadline, _SLICE_EXPIRY, core, core.sched_version
-                )
+                self._arm_slice(core, task, now)
 
     def _on_label(self, event: Event) -> None:
         now = self.engine.now
@@ -627,11 +621,17 @@ class Machine:
             outcome = self._advance(task, core, now)
             if outcome != "compute":
                 return
-        # Both timers derive from the same (now, pending_penalty) state, so
-        # the slice deadline can be fixed before the segment-done push; the
-        # push order (segment-done, then expiry) matches the reference path
-        # so sequence numbers line up event-for-event when nothing is
-        # suppressed.
+        self._arm_slice(core, task, now)
+
+    def _arm_slice(self, core: Core, task: Task, now: float) -> None:
+        """Start a fresh slice: push the segment-done and expiry timers.
+
+        Both timers derive from the same (now, pending_penalty) state, so
+        the slice deadline can be fixed before the segment-done push; the
+        push order (segment-done, then expiry) matches the reference path
+        so sequence numbers line up event-for-event when nothing is
+        suppressed.
+        """
         slice_len = self.scheduler.slice_for(task, core)
         if slice_len <= 0:
             raise SchedulerError(
@@ -643,8 +643,15 @@ class Machine:
             core.slice_deadline, _SLICE_EXPIRY, core, core.sched_version
         )
 
-    def _schedule_segment_done(self, core: Core, task: Task, now: float) -> None:
+    def _schedule_segment_done(
+        self, core: Core, task: Task, now: float, fired: Event | None = None
+    ) -> None:
         """Schedule the running segment's completion timer.
+
+        ``fired`` is the SEGMENT_DONE event whose handler is calling; it
+        has left the heap and nothing else holds it, so the hot path
+        re-arms it instead of allocating (the push gives it a fresh
+        sequence number).  The reference path always allocates.
 
         Stale-event suppression (hot path only): ``core.slice_deadline``
         holds the firing time of the live slice-expiry timer for the same
@@ -659,29 +666,22 @@ class Machine:
         if segment is None:
             raise SimulationError(f"no segment to schedule for {task.name}")
         finish = now + task.pending_penalty + segment.remaining / core.rate_for(task)
-        if self._hotpath and finish > core.slice_deadline:
-            self._suppressed += 1
-            return
+        if self._hotpath:
+            if finish > core.slice_deadline:
+                self._suppressed += 1
+                return
+            if fired is not None:
+                fired.time = finish
+                fired.version = core.sched_version
+                self.engine.push(fired)
+                return
         self._push_timer(finish, _SEGMENT_DONE, core, core.sched_version)
 
     def _push_timer(
         self, time: float, kind: EventKind, core: Core, version: int
     ) -> None:
-        """Push a core-directed timer, reusing a pooled event if possible.
-
-        The pool only ever holds events on the hot path (the recycle hook
-        that feeds it is not installed otherwise), so the reference path
-        allocates every timer fresh, exactly as it always did.
-        """
-        pool = core.event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.kind = kind
-            event.version = version
-        else:
-            event = Event(time, kind, 0, core.core_id, version)
-        self.engine.push(event)
+        """Push a fresh version-guarded timer directed at ``core``."""
+        self.engine.push(Event(time, kind, 0, core.core_id, version))
 
     def _fast_discard(self, event: Event) -> bool:
         """Engine pop-time predicate: is this timer provably a no-op?
@@ -693,13 +693,6 @@ class Machine:
         """
         version = event.version
         return version >= 0 and version != self.cores[event.core_id].sched_version
-
-    def _recycle_event(self, event: Event) -> None:
-        """Engine post-step callback: pool dead timer events for reuse."""
-        if event.version >= 0:
-            pool = self.cores[event.core_id].event_pool
-            if len(pool) < 8:
-                pool.append(event)
 
     def _account(self, core: Core, now: float) -> None:
         """Charge execution since ``core.run_started`` to the running task.
@@ -1053,8 +1046,7 @@ class Machine:
         spawned = action.task
         if spawned.counters is None:
             spawned.counters = PerformanceCounters(
-                profile=spawned.profile,
-                rng=np.random.default_rng(self.rng.integers(0, 2**63)),
+                profile=spawned.profile, rng=self.rng.integers(0, 2**63)
             )
         if self._hotpath:
             spawned.prime_speedup_cache()

@@ -67,6 +67,18 @@ class TestRunner:
         with pytest.raises(ExperimentError):
             evaluate_mix(ctx, "Sync-1", "3B3S", "linux")
 
+    @pytest.mark.parametrize(
+        "scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_work_scale_rejected(self, scale):
+        with pytest.raises(ExperimentError, match="work scale"):
+            ExperimentContext(work_scale=scale, estimator=OracleSpeedupModel())
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(ExperimentError, match="jobs must be at least 1"):
+            ExperimentContext(jobs=jobs, estimator=OracleSpeedupModel())
+
     def test_sweep_covers_cross_product(self, ctx):
         results = sweep(ctx, ["Sync-1"], configs=("2B2S",), schedulers=("linux", "colab"))
         assert len(results) == 2

@@ -453,6 +453,23 @@ class TestPERF001:
         )
         assert codes == ["PERF001"]
 
+    def test_comprehension_in_segment_done_handler_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "class Machine:\n"
+            "    def _on_segment_done(self, event):\n"
+            "        return {c.core_id for c in self.cores}\n",
+        )
+        assert codes == ["PERF001"]
+
+    def test_sorted_in_schedule_segment_done_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "def _schedule_segment_done(self, core, task, now, fired=None):\n"
+            "    return sorted(core.rq)\n",
+        )
+        assert codes == ["PERF001"]
+
     def test_comprehension_in_machine_run_allowed(self, tmp_path):
         # Only Engine.run is the event loop; run() elsewhere is not hot.
         codes = lint_source(

@@ -329,6 +329,24 @@ class TestLazySynthesis:
         finally:
             counters_module.PENDING_LIMIT = original
 
+    @given(profiles, st.integers(0, 2**63 - 1), st.lists(operations, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_counters_match_eager_generator(self, profile, seed, ops):
+        """An integer seed builds ``default_rng(seed)`` on first synthesis."""
+        replay(
+            PerformanceCounters(profile, np.int64(seed)),
+            EagerCounters(profile, np.random.default_rng(seed)),
+            ops,
+        )
+
+    def test_seeded_counters_build_no_generator_until_read(self):
+        counters = PerformanceCounters(NEUTRAL_PROFILE, 11)
+        counters.record_compute(1.0, 1.0)
+        counters.reset_window()
+        assert counters.rng == 11
+        assert counters.totals["fetch.Branches"] > 0
+        assert isinstance(counters.rng, np.random.Generator)
+
     def test_reset_window_excludes_earlier_pending_records(self):
         replay(
             PerformanceCounters(NEUTRAL_PROFILE, np.random.default_rng(2)),

@@ -1,8 +1,8 @@
 """Parity of the fused ``Engine.run`` loop with a manual ``step()`` loop.
 
-``Engine.run`` inlines everything :meth:`Engine.step` does for one event
-and then recycles it.  Random event streams -- same-time ties across
-kinds, a discard predicate, a recycle hook, a sanitizer and a sampler,
+``Engine.run`` inlines everything :meth:`Engine.step` does for one event.
+Random event streams -- same-time ties across kinds, a discard
+predicate, a sanitizer and a sampler,
 handlers that push events and call ``stop()``, and ``until`` -- must
 produce the same hook log, clock and counters either way, on both heap
 layouts.
@@ -98,7 +98,6 @@ def build(stream: dict, hotpath: bool) -> tuple[Engine, list]:
             return event.seq % (modulus + 1) == modulus
 
         engine.discard = discard
-    engine.recycle = lambda event: log.append(("recycle", event.seq))
     engine.sanitizer = Sanitizer(log)
     engine.sampler = Sampler(log)
     for time, kind in stream["initial"]:
@@ -117,8 +116,7 @@ def manual_run(engine: Engine, until: float | None) -> None:
     while engine.pending() and not engine._stopped:
         if until is not None and frontier(engine) > until:
             break
-        event = engine.step()
-        engine.recycle(event)
+        engine.step()
 
 
 def drive(stream: dict, hotpath: bool, fused: bool) -> tuple:
@@ -150,7 +148,7 @@ def test_heap_layouts_agree_under_fused_run(stream):
 
 
 def test_streams_exercise_every_hook():
-    """A fixed stream hits discard, recycle, stop, ties and ``until``."""
+    """A fixed stream hits discard, stop, ties and ``until``."""
     stream = {
         "initial": [
             (1.0, EventKind.TICK),
@@ -166,7 +164,7 @@ def test_streams_exercise_every_hook():
     assert discarded > 0 and processed > 0
     assert pending == 1 and now == 1.0  # the t=4.0 event stays queued
     assert {entry[0] for entry in log} == {
-        "discard?", "sanitize", "sample", "handle", "recycle",
+        "discard?", "sanitize", "sample", "handle",
     }
     assert drive(stream, True, fused=False) == (
         log, now, processed, discarded, pending

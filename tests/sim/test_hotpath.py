@@ -2,8 +2,9 @@
 
 The hot path (``MachineConfig(hotpath=True)``, the default) is only
 allowed to change wall-clock cost: stale-event suppression, the engine's
-fast-discard hook, the per-core event pool and the memoized speedup
-predictions must all leave every observable outcome bit-identical to the
+fast-discard hook, in-place re-arming of fired segment timers and the
+memoized speedup predictions must all leave every observable outcome
+bit-identical to the
 reference path (``hotpath=False``).  Counter noise is batched on both
 paths (lazy synthesis); it is checked here against an eager scalar-draw
 reference.  These tests pin
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.runner import ExperimentContext, lookup_mix
 from repro.kernel.task import reset_tid_counter
 from repro.model.speedup import OracleSpeedupModel, PredictionCache
 from repro.schedulers import make_scheduler
@@ -27,6 +29,7 @@ from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
+from repro.workloads.programs import ProgramEnv
 from tests.conftest import NEUTRAL_PROFILE, make_machine, make_simple_task
 from tests.sim.test_counters import EagerCounters
 
@@ -118,7 +121,7 @@ class TestFastDiscard:
 
 
 # ----------------------------------------------------------------------
-# Machine: suppression accounting and the per-core event pool
+# Machine: suppression accounting and timer re-arming
 # ----------------------------------------------------------------------
 class TestSuppressionAndPool:
     def run_machine(self, hotpath: bool) -> Machine:
@@ -138,16 +141,6 @@ class TestSuppressionAndPool:
         assert machine._suppressed == 0
         assert machine.engine.discarded == 0
         assert machine.engine.discard is None
-        assert machine.engine.recycle is None
-        assert all(not core.event_pool for core in machine.cores)
-
-    def test_pool_only_holds_versioned_timers_for_own_core(self):
-        machine = self.run_machine(hotpath=True)
-        for core in machine.cores:
-            assert len(core.event_pool) <= 8
-            for event in core.event_pool:
-                assert event.version >= 0
-                assert event.core_id == core.core_id
 
     def test_metrics_expose_hotpath_counters(self):
         from repro.obs.context import ObsConfig
@@ -162,6 +155,42 @@ class TestSuppressionAndPool:
         assert counters["engine.events.suppressed"] == machine._suppressed
         assert counters["engine.events.discarded"] == machine.engine.discarded
         assert counters["engine.events.processed"] == machine.engine.processed
+
+
+    @pytest.mark.parametrize("name", ["linux", "gts", "wash", "colab"])
+    def test_no_event_is_queued_twice(self, name):
+        """A re-armed timer is live again, so nothing may reuse it."""
+        reset_tid_counter()
+        ctx = ExperimentContext(seed=5, work_scale=0.03, use_learned_model=False)
+        machine = Machine(
+            ctx.topology("2B2S", big_first=True),
+            ctx.make_scheduler(name),
+            MachineConfig(seed=5),
+        )
+        env = ProgramEnv.for_machine(machine, work_scale=ctx.work_scale)
+        for instance in lookup_mix("Rand-8").instantiate(env):
+            machine.add_program(instance)
+        engine = machine.engine
+        handled: list[Event] = []
+
+        def checked(handler):
+            def handle(event: Event) -> None:
+                handler(event)
+                handled.append(event)
+                queued = [entry[3] for entry in engine._heap]
+                assert len({id(e) for e in queued}) == len(queued)
+
+            return handle
+
+        for kind in EventKind:
+            handler = engine._handlers[kind]
+            if handler is not None:
+                engine.register(kind, checked(handler))
+        machine.run()
+        fired = [e for e in handled if e.kind is EventKind.SEGMENT_DONE]
+        # ``handled`` keeps every object alive, so ids are never reused:
+        # fewer distinct objects than firings means timers were re-armed.
+        assert len({id(e) for e in fired}) < len(fired)
 
 
 # ----------------------------------------------------------------------

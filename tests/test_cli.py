@@ -313,6 +313,59 @@ class TestCleanErrors:
         for name in ("linux", "wash", "colab", "gts"):
             assert name in captured.err
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--scale", "0"], "error: work scale must be positive and finite"),
+            (["--scale", "-1"], "error: work scale must be positive and finite"),
+            (["--scale", "nan"], "error: work scale must be positive and finite"),
+            (["--jobs", "0"], "error: jobs must be at least 1, got 0"),
+            (["--jobs", "-3"], "error: jobs must be at least 1, got -3"),
+        ],
+    )
+    def test_bad_scale_or_jobs_fails_before_work(
+        self, monkeypatch, capsys, flags, message
+    ):
+        import repro.experiments.runner as runner
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the options were checked")
+
+        monkeypatch.setattr(runner, "evaluate_mix", no_simulation)
+        code = main(self.BASE + flags + ["run", "--mix", "Sync-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--mixes", "Sync-1,Bogus"], "error: unknown mix 'Bogus'"),
+            (["--configs", "2B2S,9B9S"], "error: unknown config '9B9S'"),
+        ],
+    )
+    def test_sweep_checks_names_before_progress(
+        self, tmp_path, capsys, flags, message
+    ):
+        code = main(
+            self.BASE
+            + ["sweep", "--schedulers", "linux"]
+            + flags
+            + [
+                "--timeline", str(tmp_path / "t.json"),
+                "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # No progress line precedes the error on the same line.
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "t.json").exists()
+
     def test_trace_unknown_mix(self, tmp_path, capsys):
         code = main(
             self.BASE
