@@ -6,8 +6,8 @@ Two measurements on the paper's reference single-run configuration
 * wall-clock A/B -- interleaved repeats of the same (workload, seed)
   run with ``MachineConfig(hotpath=False)`` (the reference path, which
   keeps the seed's event-loop costs) and ``hotpath=True`` (tuple-heap
-  engine, stale-event suppression, fast discard, event pooling, memoized
-  speedup predictions); the ratio of the per-path minima is the reported
+  engine, stale-event suppression, fast discard, memoized speedup
+  predictions); the ratio of the per-path minima is the reported
   speedup, measured on the ``colab`` scheduler;
 * parity sweep -- for all four schedulers (linux, gts, wash, colab) the
   hot path must produce the same :func:`repro.sim.digest.run_digest` as
@@ -56,7 +56,10 @@ SCHEDULERS = ("linux", "gts", "wash", "colab")
 SCALE = float(os.environ.get("REPRO_BENCH_HOTPATH_SCALE", "1.0"))
 #: Parity runs only need structure, not duration.
 PARITY_SCALE = min(SCALE, 0.3)
-ROUNDS = int(os.environ.get("REPRO_BENCH_HOTPATH_ROUNDS", "5"))
+#: One timed run is only 40-90 ms, and a 2-vCPU host's speed state drifts
+#: between runs; 20 interleaved rounds give each path's minimum enough
+#: samples to read the same ratio run after run (5 rounds did not).
+ROUNDS = int(os.environ.get("REPRO_BENCH_HOTPATH_ROUNDS", "20"))
 
 MIN_HOTPATH_SPEEDUP = 1.3
 ASSERT_SPEEDUP = os.environ.get("REPRO_BENCH_HOTPATH_ASSERT_SPEEDUP", "1") == "1"

@@ -1,8 +1,12 @@
 """Per-core runqueues.
 
-Each core owns one :class:`RunQueue`.  Internally it is the CFS timeline: a
-red-black tree of READY tasks keyed by ``(vruntime, tid)`` with a
-monotonic ``min_vruntime`` watermark, exactly like ``struct cfs_rq``.
+Each core owns one :class:`RunQueue`.  Internally it is the CFS timeline:
+READY tasks ordered by ``(vruntime, tid)`` with a monotonic
+``min_vruntime`` watermark, exactly like ``struct cfs_rq``.  The kernel
+keeps that order in a red-black tree; here it is a plain list kept sorted
+with :func:`bisect.insort`, which is faster for queues this short (they
+hold at most a few dozen tasks) and yields the same pick order, because
+the key ``(vruntime, tid)`` is unique within a queue.
 
 All three reproduced schedulers share this structure:
 
@@ -10,16 +14,16 @@ All three reproduced schedulers share this structure:
 * WASH delegates picking to CFS, so it also uses the leftmost task;
 * COLAB's thread selector ignores vruntime order when picking and instead
   scans for the maximum-blocking task (:meth:`max_blocking`), which is an
-  O(n) scan -- acceptable because runqueues hold at most a few dozen tasks
-  and it keeps the policy logic transparent.
+  O(n) scan -- acceptable because runqueues are short and it keeps the
+  policy logic transparent.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Iterator
 
 from repro.errors import KernelError
-from repro.kernel.rbtree import RBTree
 from repro.kernel.task import Task
 
 
@@ -33,12 +37,14 @@ class RunQueue:
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-        self._tree = RBTree()
+        #: The timeline: ``(vruntime, tid, task)`` entries in ascending
+        #: order; the head is the leftmost (CFS pick-next) task.
+        self._timeline: list[tuple[float, int, Task]] = []
         self._by_tid: dict[int, Task] = {}
-        #: Tree node handle each task was inserted under; dequeue removes
-        #: through the handle (O(log n) with no key search), and it stays
-        #: valid even if the task's vruntime changed while queued.
-        self._nodes: dict[int, object] = {}
+        #: Timeline entry each task was inserted under; dequeue removes
+        #: that entry, so it stays found even if the task's vruntime
+        #: changed while queued.
+        self._nodes: dict[int, tuple[float, int, Task]] = {}
         #: Monotonic watermark of the smallest vruntime ever at the head of
         #: this queue; used by CFS to place newly woken tasks fairly.
         self.min_vruntime: float = 0.0
@@ -100,7 +106,7 @@ class RunQueue:
 
     def tasks(self) -> Iterator[Task]:
         """Iterate queued tasks in ascending vruntime order."""
-        return iter(list(self._tree.values()))
+        return iter([entry[2] for entry in self._timeline])
 
     # ------------------------------------------------------------------
     # Mutation
@@ -120,8 +126,9 @@ class RunQueue:
             raise KernelError(
                 f"task {task.name} already on runqueue of core {task.rq_core_id}"
             )
-        key = (task.vruntime, task.tid)
-        self._nodes[task.tid] = self._tree.insert(key, task)
+        entry = (task.vruntime, task.tid, task)
+        insort(self._timeline, entry)
+        self._nodes[task.tid] = entry
         self._by_tid[task.tid] = task
         task.rq_core_id = self.core_id
         if self._attribution is not None:
@@ -137,7 +144,8 @@ class RunQueue:
             raise KernelError(
                 f"task {task.name} not on runqueue of core {self.core_id}"
             )
-        self._tree.remove_node(self._nodes.pop(task.tid))
+        timeline = self._timeline
+        del timeline[bisect_left(timeline, self._nodes.pop(task.tid))]
         del self._by_tid[task.tid]
         task.rq_core_id = None
         if self._depth_tracker is not None:
@@ -156,9 +164,10 @@ class RunQueue:
     def peek_min(self) -> Task | None:
         """Leftmost (minimum-vruntime) task, or None if empty.
 
-        O(1): the tree caches its leftmost node, and no tuple is built.
+        O(1): the head of the timeline, and no tuple is built.
         """
-        return self._tree.leftmost_value()
+        timeline = self._timeline
+        return timeline[0][2] if timeline else None
 
     def pop_min(self) -> Task | None:
         """Remove and return the leftmost task (CFS pick-next).
@@ -166,9 +175,9 @@ class RunQueue:
         Advances ``min_vruntime`` to the popped task's virtual runtime
         (it becomes the running "curr"), mirroring ``update_min_vruntime``.
         """
-        task = self._tree.leftmost_value()
-        if task is None:
+        if not self._timeline:
             return None
+        task = self._timeline[0][2]
         self.dequeue(task)
         if task.vruntime > self.min_vruntime:
             self.min_vruntime = task.vruntime
@@ -187,7 +196,7 @@ class RunQueue:
             return None
         best: Task | None = None
         best_key: tuple | None = None
-        for task in self._tree.values():
+        for _, _, task in self._timeline:
             candidate = key(task)
             if best_key is None or candidate < best_key:
                 best_key = candidate
@@ -211,7 +220,7 @@ class RunQueue:
         metric = key if key is not None else (lambda t: t.blocking_level)
         best: Task | None = None
         best_key: tuple[float, float, int] | None = None
-        for task in self._tree.values():
+        for _, _, task in self._timeline:
             candidate = (-metric(task), task.vruntime, task.tid)
             if best_key is None or candidate < best_key:
                 best_key = candidate
@@ -226,9 +235,9 @@ class RunQueue:
         accounting step, so it is written allocation-free (no candidate
         list); the branches compute exactly ``max(old, min(candidates))``.
         """
-        head = self._tree.leftmost_value()
-        if head is not None:
-            head_vruntime = head.vruntime
+        timeline = self._timeline
+        if timeline:
+            head_vruntime = timeline[0][2].vruntime
             if running_vruntime is None or head_vruntime < running_vruntime:
                 floor = head_vruntime
             else:
@@ -246,26 +255,37 @@ class RunQueue:
     def sanitize_violations(self) -> list[str]:
         """Describe every broken queue invariant (empty list = healthy).
 
-        Read-only: validates the red-black tree plus the lockstep between
-        the tree, the tid index, the node-handle map, and the queued tasks'
-        own bookkeeping.  Queued tasks must be READY and claim this core.
-        (A queued task's *vruntime* may legitimately drift from its tree
-        key -- dequeue removes through the recorded node handle -- so key
-        staleness is not a violation.)
+        Read-only: validates that the timeline is strictly sorted by
+        ``(vruntime, tid)``, the lockstep between the timeline, the tid
+        index, the entry map, and the queued tasks' own bookkeeping.
+        Queued tasks must be READY and claim this core.  (A queued task's
+        *vruntime* may legitimately drift from its timeline key -- dequeue
+        removes the recorded entry -- so key staleness is not a
+        violation.)
         """
-        problems = self._tree.invariant_violations()
-        if len(self._by_tid) != len(self._tree):
+        problems: list[str] = []
+        timeline = self._timeline
+        for before, after in zip(timeline, timeline[1:]):
+            if (before[0], before[1]) >= (after[0], after[1]):
+                problems.append(
+                    f"timeline out of order: {before[:2]} precedes {after[:2]}"
+                )
+        if len(self._by_tid) != len(timeline):
             problems.append(
-                f"tid index holds {len(self._by_tid)} tasks but tree holds "
-                f"{len(self._tree)}"
+                f"tid index holds {len(self._by_tid)} tasks but timeline "
+                f"holds {len(timeline)}"
             )
         if set(self._nodes) != set(self._by_tid):
-            problems.append("node map and tid index disagree on queued tids")
-        for task in self._tree.values():
-            if self._by_tid.get(task.tid) is not task:
+            problems.append("entry map and tid index disagree on queued tids")
+        present = {id(entry) for entry in timeline}
+        for tid, entry in self._nodes.items():
+            if id(entry) not in present:
+                problems.append(f"entry of tid {tid} missing from timeline")
+        for _, tid, task in timeline:
+            if task.tid != tid or self._by_tid.get(tid) is not task:
                 problems.append(
-                    f"tree task {task.name} (tid {task.tid}) missing from "
-                    "tid index"
+                    f"timeline task {task.name} (tid {task.tid}) missing "
+                    "from tid index"
                 )
             if not task.is_runnable:
                 problems.append(

@@ -13,8 +13,8 @@ guarantees are machine-checked instead of enforced by convention.
   pickle-safety proofs for worker payloads, with SARIF output and a
   committed baseline for incremental CI gating.
 * :mod:`repro.sanitize.schedsan` -- a runtime sanitizer ("schedsan") of
-  read-only invariant hooks injected into the rbtree, runqueues, futex
-  table, and event engine behind ``MachineConfig(sanitize=True)``, raising
+  read-only invariant hooks injected into the runqueues, futex table,
+  and event engine behind ``MachineConfig(sanitize=True)``, raising
   :class:`repro.errors.SanitizerError` with recent trace events attached.
 """
 

@@ -370,21 +370,21 @@ def obs004(module: ParsedModule) -> Iterator[Violation]:
 _KERN_SCOPE = tuple(
     part for part in DECISION_SCOPE
 )
-_KERN_EXCLUDED_FILES = ("kernel/runqueue.py", "kernel/rbtree.py")
-_RQ_PRIVATE_ATTRS = {"_tree", "_by_tid", "_keys", "_nodes"}
+_KERN_EXCLUDED_FILE = "kernel/runqueue.py"
+_RQ_PRIVATE_ATTRS = {"_timeline", "_by_tid", "_nodes"}
 
 
 @rule(
     "KERN001",
-    "no rbtree/runqueue mutation outside RunQueue methods",
+    "no runqueue timeline mutation outside RunQueue methods",
     _KERN_SCOPE,
 )
 def kern001(module: ParsedModule) -> Iterator[Violation]:
-    """RunQueue keeps three structures (tree, tid index, key map) plus the
-    task's rq_core_id in lockstep; touching any of them from outside
+    """RunQueue keeps three structures (timeline, tid index, entry map) plus
+    the task's rq_core_id in lockstep; touching any of them from outside
     desynchronises the bookkeeping the schedulers rely on.
     """
-    if any(module.posix.endswith(name) for name in _KERN_EXCLUDED_FILES):
+    if module.posix.endswith(_KERN_EXCLUDED_FILE):
         return
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Attribute) and node.attr in _RQ_PRIVATE_ATTRS:
@@ -392,18 +392,6 @@ def kern001(module: ParsedModule) -> Iterator[Violation]:
                 node, "KERN001",
                 f"access to runqueue internal .{node.attr} outside RunQueue; "
                 "use the public enqueue/dequeue/tasks API",
-            )
-        elif isinstance(node, ast.Call) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "RBTree")
-            or (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "RBTree"
-            )
-        ):
-            yield module.violation(
-                node, "KERN001",
-                "direct RBTree construction outside the kernel substrate; "
-                "timelines belong to RunQueue",
             )
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
@@ -436,8 +424,16 @@ _PERF_HOT_FUNCTIONS = {
 }
 #: Hot methods matched by ``(class, method)``, for names too common to
 #: match bare: ``Engine.run`` is the fused event loop, ``Machine.run`` is
-#: not per event.
-_PERF_HOT_METHODS = {("Engine", "run")}
+#: not per event; the RunQueue methods run on every enqueue, pick and
+#: accounting step, so none may re-sort or build a comprehension.
+_PERF_HOT_METHODS = {
+    ("Engine", "run"),
+    ("RunQueue", "enqueue"),
+    ("RunQueue", "dequeue"),
+    ("RunQueue", "peek_min"),
+    ("RunQueue", "pop_min"),
+    ("RunQueue", "update_min_vruntime"),
+}
 
 
 def _hot_function_label(module: ParsedModule, node: ast.AST) -> str | None:
@@ -460,12 +456,13 @@ def _hot_function_label(module: ParsedModule, node: ast.AST) -> str | None:
 )
 def perf001(module: ParsedModule) -> Iterator[Violation]:
     """Machine._dispatch/_account/_advance, the segment-completion chain
-    (_on_segment_done/_schedule_segment_done), Engine.step and Engine.run
-    execute once per simulator event; a list/dict/set comprehension,
-    generator expression, or sorted() call there allocates (or sorts) on
-    every event and regresses single-run speed for all sweeps at once.
-    Hoist the work out of the loop or keep an incrementally maintained
-    structure.
+    (_on_segment_done/_schedule_segment_done), Engine.step, Engine.run and
+    the RunQueue enqueue/dequeue/peek_min/pop_min/update_min_vruntime
+    primitives execute once per simulator event; a list/dict/set
+    comprehension, generator expression, or sorted() call there allocates
+    (or sorts) on every event and regresses single-run speed for all
+    sweeps at once.  Hoist the work out of the loop or keep an
+    incrementally maintained structure.
     """
     for node in ast.walk(module.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,17 +1,16 @@
 """schedsan: the runtime scheduler sanitizer.
 
 Lockdep/KASAN for the simulated kernel: read-only invariant hooks wired
-into the rbtree, the runqueues, the futex table, and the event engine when
+into the runqueues, the futex table, and the event engine when
 a machine is built with ``MachineConfig(sanitize=True)``.  Every check
 inspects state without mutating it, which is what guarantees scheduling
 outcomes stay bit-identical with the sanitizer on or off.
 
 Checked invariants (the ones COLAB's who-wins evaluation rests on):
 
-* **rbtree** -- red-black properties, BST order, size counter, leftmost
-  cache after every runqueue mutation;
-* **runqueue** -- tree / tid-index / key-map kept in lockstep; queued
-  tasks READY and owned by this core;
+* **runqueue** -- after every mutation, the timeline is strictly sorted
+  by ``(vruntime, tid)``; timeline / tid-index / entry-map kept in
+  lockstep; queued tasks READY and owned by this core;
 * **min_vruntime** -- the per-queue watermark never moves backwards;
 * **task state** -- post-drain, every READY task sits on exactly one
   runqueue, RUNNING tasks biject with ``core.current``, SLEEPING tasks
@@ -77,7 +76,7 @@ class SchedSanitizer:
         raise SanitizerError(message, check=check, events=events)
 
     # ------------------------------------------------------------------
-    # Runqueue / rbtree hooks (called after every mutation)
+    # Runqueue hooks (called after every mutation)
     # ------------------------------------------------------------------
     def on_rq_change(self, rq: "RunQueue") -> None:
         """Validate ``rq`` after an enqueue/dequeue."""
@@ -85,7 +84,7 @@ class SchedSanitizer:
         problems = rq.sanitize_violations()
         if problems:
             self._fail(
-                "rbtree",
+                "runqueue",
                 f"runqueue of core {rq.core_id} corrupt after mutation: "
                 + "; ".join(problems),
             )

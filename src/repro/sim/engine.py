@@ -124,10 +124,6 @@ class Engine:
             heappush(self._heap, event)
         return event
 
-    def push_at(self, time: float, kind: EventKind, **fields: object) -> Event:
-        """Convenience wrapper building and pushing an :class:`Event`."""
-        return self.push(Event(time=time, kind=kind, **fields))  # type: ignore[arg-type]
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

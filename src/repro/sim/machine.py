@@ -111,9 +111,9 @@ class MachineConfig:
     #: tracing, metrics registry, host-side profiling.
     obs: ObsConfig | None = None
     #: Enable the runtime scheduler sanitizer (schedsan): read-only
-    #: invariant checks on the rbtree, runqueues, futex pairing, event
-    #: ordering, task states, and work conservation.  Scheduling outcomes
-    #: are bit-identical with this on or off; violations raise
+    #: invariant checks on the runqueues, futex pairing, event ordering,
+    #: task states, and work conservation.  Scheduling outcomes are
+    #: bit-identical with this on or off; violations raise
     #: :class:`repro.errors.SanitizerError`.
     sanitize: bool = False
     #: Optional per-cluster frequency scaling policy

@@ -1,4 +1,11 @@
-"""Unit and property-based tests for the red-black tree (CFS timeline)."""
+"""The CFS timeline inside RunQueue: ``(vruntime, tid)`` pick order.
+
+The kernel keeps this order in a red-black tree; RunQueue keeps it in a
+bisect-sorted list of ``(vruntime, tid, task)`` entries.  These tests pin
+the order and the container's bookkeeping (timeline, tid index, entry
+map) through RunQueue's public API, with ``sanitize_violations`` as the
+invariant check after each step.
+"""
 
 from __future__ import annotations
 
@@ -6,192 +13,179 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.rbtree import RBTree
+from repro.errors import KernelError
+from repro.kernel.runqueue import RunQueue
+from tests.conftest import make_simple_task
 
 
-def make_tree(pairs):
-    tree = RBTree()
-    for key, value in pairs:
-        tree.insert(key, value)
-    return tree
+def ready_task(vruntime: float = 0.0, name: str = "t"):
+    task = make_simple_task(name=name)
+    task.mark_ready()
+    task.vruntime = vruntime
+    return task
+
+
+def make_rq(vruntimes):
+    rq = RunQueue(0)
+    tasks = [ready_task(v, f"t{i}") for i, v in enumerate(vruntimes)]
+    for task in tasks:
+        rq.enqueue(task)
+    return rq, tasks
+
+
+def order(tasks):
+    return sorted(tasks, key=lambda t: (t.vruntime, t.tid))
 
 
 class TestBasics:
     def test_empty_tree(self):
-        tree = RBTree()
-        assert len(tree) == 0
-        assert not tree
-        assert tree.leftmost() is None
-        assert tree.pop_leftmost() is None
-        assert list(tree.items()) == []
+        rq = RunQueue(0)
+        assert len(rq) == 0
+        assert not rq
+        assert rq.peek_min() is None
+        assert rq.pop_min() is None
+        assert list(rq.tasks()) == []
+        assert rq.best(lambda t: (t.vruntime,)) is None
+        assert rq.max_blocking() is None
+        assert rq.sanitize_violations() == []
 
     def test_single_insert(self):
-        tree = RBTree()
-        tree.insert((1.0, 1), "a")
-        assert len(tree) == 1
-        assert tree.leftmost() == ((1.0, 1), "a")
-        assert (1.0, 1) in tree
+        rq, (task,) = make_rq([1.0])
+        assert len(rq) == 1
+        assert rq.peek_min() is task
+        assert task in rq
+        assert rq._timeline == [(1.0, task.tid, task)]
 
     def test_insert_many_ordered_iteration(self):
-        keys = [(float(i), i) for i in (5, 3, 8, 1, 9, 2, 7, 4, 6, 0)]
-        tree = make_tree((k, k[1]) for k in keys)
-        assert [k for k, _ in tree.items()] == sorted(keys)
+        rq, tasks = make_rq([float(i) for i in (5, 3, 8, 1, 9, 2, 7, 4, 6, 0)])
+        assert list(rq.tasks()) == order(tasks)
 
     def test_duplicate_key_rejected(self):
-        tree = make_tree([((1.0, 1), "a")])
-        with pytest.raises(KeyError):
-            tree.insert((1.0, 1), "b")
+        rq, (task,) = make_rq([1.0])
+        with pytest.raises(KernelError):
+            rq.enqueue(task)
+        assert len(rq) == 1
+        assert rq.sanitize_violations() == []
 
     def test_same_float_different_tiebreak_allowed(self):
-        tree = RBTree()
-        tree.insert((1.0, 1), "a")
-        tree.insert((1.0, 2), "b")
-        assert len(tree) == 2
-        assert tree.leftmost() == ((1.0, 1), "a")
+        rq, (first, second) = make_rq([1.0, 1.0])
+        assert len(rq) == 2
+        assert first.tid < second.tid
+        assert list(rq.tasks()) == [first, second]
 
     def test_get(self):
-        tree = make_tree([((1.0, 1), "a"), ((2.0, 2), "b")])
-        assert tree.get((2.0, 2)) == "b"
-        assert tree.get((3.0, 3)) is None
-        assert tree.get((3.0, 3), "x") == "x"
+        rq, (a, b) = make_rq([1.0, 2.0])
+        other = ready_task(3.0)
+        assert a in rq and b in rq
+        assert other not in rq
+        rq.dequeue(a)
+        assert a not in rq
 
     def test_remove_returns_value(self):
-        tree = make_tree([((1.0, 1), "a"), ((2.0, 2), "b")])
-        assert tree.remove((1.0, 1)) == "a"
-        assert len(tree) == 1
-        assert (1.0, 1) not in tree
+        rq, (a, b) = make_rq([1.0, 2.0])
+        assert rq.pop_min() is a
+        assert len(rq) == 1
+        assert a not in rq
 
     def test_remove_missing_raises(self):
-        tree = RBTree()
-        with pytest.raises(KeyError):
-            tree.remove((1.0, 1))
+        rq = RunQueue(0)
+        with pytest.raises(KernelError):
+            rq.dequeue(ready_task(1.0))
 
     def test_pop_leftmost_order(self):
-        keys = [(float(i), i) for i in (4, 2, 6, 1, 3, 5, 7)]
-        tree = make_tree((k, k[1]) for k in keys)
+        rq, tasks = make_rq([float(i) for i in (4, 2, 6, 1, 3, 5, 7)])
         popped = []
-        while tree:
-            popped.append(tree.pop_leftmost()[0])
-        assert popped == sorted(keys)
+        while rq:
+            popped.append(rq.pop_min())
+        assert popped == order(tasks)
 
     def test_clear(self):
-        tree = make_tree([((float(i), i), i) for i in range(10)])
-        tree.clear()
-        assert len(tree) == 0
-        assert tree.leftmost() is None
-        tree.insert((1.0, 1), "a")
-        assert len(tree) == 1
+        rq, tasks = make_rq([float(i) for i in range(10)])
+        for task in tasks:
+            rq.dequeue(task)
+        assert len(rq) == 0
+        assert rq._timeline == [] and rq._nodes == {} and rq._by_tid == {}
+        rq.enqueue(tasks[3])
+        assert len(rq) == 1
 
     def test_keys_and_values(self):
-        tree = make_tree([((2.0, 2), "b"), ((1.0, 1), "a")])
-        assert list(tree.keys()) == [(1.0, 1), (2.0, 2)]
-        assert list(tree.values()) == ["a", "b"]
+        rq, (b, a) = make_rq([2.0, 1.0])
+        assert [entry[:2] for entry in rq._timeline] == [
+            (1.0, a.tid), (2.0, b.tid)
+        ]
+        assert [entry[2] for entry in rq._timeline] == [a, b]
+        assert all(rq._nodes[e[1]] is e for e in rq._timeline)
 
     def test_leftmost_updates_on_smaller_insert(self):
-        tree = make_tree([((5.0, 5), 5)])
-        tree.insert((1.0, 1), 1)
-        assert tree.leftmost()[0] == (1.0, 1)
+        rq, _ = make_rq([5.0])
+        smaller = ready_task(1.0)
+        rq.enqueue(smaller)
+        assert rq.peek_min() is smaller
 
     def test_leftmost_updates_on_removal(self):
-        tree = make_tree([((1.0, 1), 1), ((2.0, 2), 2), ((3.0, 3), 3)])
-        tree.remove((1.0, 1))
-        assert tree.leftmost()[0] == (2.0, 2)
+        rq, (a, b, c) = make_rq([1.0, 2.0, 3.0])
+        rq.dequeue(a)
+        assert rq.peek_min() is b
 
     def test_invariants_after_sequential_ops(self):
-        tree = RBTree()
-        for i in range(100):
-            tree.insert((float(i % 17), i), i)
-            tree.check_invariants()
-        for i in range(0, 100, 3):
-            tree.remove((float(i % 17), i))
-            tree.check_invariants()
+        rq = RunQueue(0)
+        tasks = [ready_task(float(i % 17), f"t{i}") for i in range(100)]
+        for task in tasks:
+            rq.enqueue(task)
+            assert rq.sanitize_violations() == []
+        for task in tasks[::3]:
+            task.vruntime += 5.0  # drifts away from its timeline key
+            rq.dequeue(task)
+            assert rq.sanitize_violations() == []
+        assert list(rq.tasks()) == order(
+            t for i, t in enumerate(tasks) if i % 3
+        )
+
+
+vruntimes = st.lists(st.floats(-1e6, 1e6), max_size=40)
 
 
 class TestProperties:
-    @given(
-        st.lists(
-            st.tuples(st.floats(-1e6, 1e6), st.integers(0, 10_000)),
-            unique_by=lambda pair: pair,
-            max_size=200,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_sorted_model(self, pairs):
-        """Tree iteration always equals the sorted reference model."""
-        tree = RBTree()
-        model = {}
-        for key in pairs:
-            tree.insert(key, key[1])
-            model[key] = key[1]
-            tree.check_invariants()
-        assert [k for k, _ in tree.items()] == sorted(model)
-        assert len(tree) == len(model)
+    @given(vruntimes)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sorted_model(self, values):
+        """Timeline iteration always equals the sorted reference model."""
+        rq, tasks = make_rq(values)
+        assert list(rq.tasks()) == order(tasks)
+        assert len(rq) == len(tasks)
+        assert rq.sanitize_violations() == []
 
-    @given(
-        st.lists(
-            st.tuples(st.floats(-1e3, 1e3), st.integers(0, 500)),
-            unique_by=lambda pair: pair,
-            min_size=1,
-            max_size=120,
-        ),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_random_removals_keep_invariants(self, pairs, data):
-        """Removing any subset in any order preserves the RB invariants."""
-        tree = RBTree()
-        for key in pairs:
-            tree.insert(key, None)
-        remaining = list(pairs)
-        n_remove = data.draw(st.integers(0, len(remaining)))
-        for _ in range(n_remove):
-            index = data.draw(st.integers(0, len(remaining) - 1))
-            key = remaining.pop(index)
-            tree.remove(key)
-            tree.check_invariants()
-        assert [k for k, _ in tree.items()] == sorted(remaining)
+    @given(vruntimes, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_removals_keep_invariants(self, values, data):
+        rq, tasks = make_rq(values)
+        doomed = data.draw(st.sets(st.sampled_from(range(len(tasks))))
+                           if tasks else st.just(set()))
+        for i in sorted(doomed):
+            rq.dequeue(tasks[i])
+            assert rq.sanitize_violations() == []
+        kept = [t for i, t in enumerate(tasks) if i not in doomed]
+        assert list(rq.tasks()) == order(kept)
 
-    @given(
-        st.lists(
-            st.tuples(st.floats(-100, 100), st.integers(0, 100)),
-            unique_by=lambda pair: pair,
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_pop_leftmost_is_total_sort(self, pairs):
-        tree = RBTree()
-        for key in pairs:
-            tree.insert(key, None)
+    @given(vruntimes)
+    @settings(max_examples=30, deadline=None)
+    def test_pop_leftmost_is_total_sort(self, values):
+        rq, tasks = make_rq(values)
         popped = []
-        while tree:
-            popped.append(tree.pop_leftmost()[0])
-            tree.check_invariants()
-        assert popped == sorted(pairs)
+        while rq:
+            popped.append(rq.pop_min())
+        assert popped == order(tasks)
+        assert rq.sanitize_violations() == []
 
-    @given(
-        st.lists(
-            st.tuples(st.floats(-100, 100), st.integers(0, 100)),
-            unique_by=lambda pair: pair,
-            min_size=2,
-            max_size=80,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_interleaved_insert_remove(self, pairs):
-        """Insert half, remove a quarter, insert the rest: model still agrees."""
-        half = len(pairs) // 2
-        tree = RBTree()
-        model = set()
-        for key in pairs[:half]:
-            tree.insert(key, None)
-            model.add(key)
-        for key in pairs[: half // 2]:
-            tree.remove(key)
-            model.discard(key)
-        for key in pairs[half:]:
-            tree.insert(key, None)
-            model.add(key)
-        tree.check_invariants()
-        assert [k for k, _ in tree.items()] == sorted(model)
+    @given(vruntimes)
+    @settings(max_examples=30, deadline=None)
+    def test_interleaved_insert_remove(self, values):
+        """Enqueue everything, dequeue every other head, re-enqueue it."""
+        rq, tasks = make_rq(values)
+        for _ in range(len(tasks) // 2):
+            head = rq.peek_min()
+            rq.dequeue(head)
+            head.vruntime += 1.0
+            rq.enqueue(head)
+            assert rq.sanitize_violations() == []
+        assert list(rq.tasks()) == order(tasks)

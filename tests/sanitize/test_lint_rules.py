@@ -326,16 +326,17 @@ class TestKERN001:
     def test_private_tree_access_flagged(self, tmp_path):
         codes = lint_source(
             tmp_path,
-            "def steal(rq):\n    return rq._tree.min_key()\n",
+            "def steal(rq):\n    return rq._timeline[0][2]\n",
             rel="repro/schedulers/mod.py",
         )
         assert codes == ["KERN001"]
 
-    def test_rbtree_construction_flagged(self, tmp_path):
+    def test_timeline_mutation_flagged(self, tmp_path):
         codes = lint_source(
             tmp_path,
-            "from repro.kernel.rbtree import RBTree\n"
-            "def fresh():\n    return RBTree()\n",
+            "import bisect\n"
+            "def sneak_in(rq, task):\n"
+            "    bisect.insort(rq._timeline, (task.vruntime, task.tid, task))\n",
             rel="repro/sim/mod.py",
         )
         assert codes == ["KERN001"]
@@ -361,7 +362,7 @@ class TestKERN001:
         codes = lint_source(
             tmp_path,
             "def enqueue(self, task):\n"
-            "    self._tree.insert(key, task)\n",
+            "    insort(self._timeline, entry)\n",
             rel="repro/kernel/runqueue.py",
         )
         assert codes == []
@@ -469,6 +470,49 @@ class TestPERF001:
             "    return sorted(core.rq)\n",
         )
         assert codes == ["PERF001"]
+
+    def test_sorted_in_runqueue_enqueue_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "class RunQueue:\n"
+            "    def enqueue(self, task):\n"
+            "        self._timeline.append((task.vruntime, task.tid, task))\n"
+            "        self._timeline = sorted(self._timeline)\n",
+            rel="repro/kernel/runqueue.py",
+        )
+        assert codes == ["PERF001"]
+
+    def test_comprehension_in_runqueue_head_reads_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "class RunQueue:\n"
+            "    def peek_min(self):\n"
+            "        return min((e for e in self._timeline), default=None)\n"
+            "    def pop_min(self):\n"
+            "        return [e for e in self._timeline][0]\n"
+            "    def dequeue(self, task):\n"
+            "        self._timeline = [e for e in self._timeline if e[2] is not task]\n"
+            "    def update_min_vruntime(self, running):\n"
+            "        return min(t.vruntime for t in self._by_tid.values())\n",
+            rel="repro/kernel/runqueue.py",
+        )
+        assert codes == ["PERF001"] * 4
+
+    def test_runqueue_scans_and_other_enqueue_allowed(self, tmp_path):
+        # tasks() snapshots on purpose and is not per event; an enqueue
+        # method of another class is not RunQueue's.
+        codes = lint_source(
+            tmp_path,
+            "class RunQueue:\n"
+            "    def tasks(self):\n"
+            "        return iter([e[2] for e in self._timeline])\n"
+            "\n"
+            "class Pool:\n"
+            "    def enqueue(self, jobs):\n"
+            "        return sorted(j for j in jobs)\n",
+            rel="repro/kernel/runqueue.py",
+        )
+        assert codes == []
 
     def test_comprehension_in_machine_run_allowed(self, tmp_path):
         # Only Engine.run is the event loop; run() elsewhere is not hot.

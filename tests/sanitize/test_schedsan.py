@@ -99,7 +99,16 @@ class TestRunQueueChecks:
         assert rq.sanitize_violations()
         with pytest.raises(SanitizerError) as err:
             sanitizer.on_rq_change(rq)
-        assert err.value.check == "rbtree"
+        assert err.value.check == "runqueue"
+
+    def test_swapped_timeline_entries_detected(self):
+        sanitizer, rq, _ = self.make_rq_with_tasks()
+        timeline = rq._timeline  # simulate external corruption
+        timeline[0], timeline[1] = timeline[1], timeline[0]
+        assert any("out of order" in p for p in rq.sanitize_violations())
+        with pytest.raises(SanitizerError) as err:
+            sanitizer.on_rq_change(rq)
+        assert err.value.check == "runqueue"
 
     def test_queued_task_in_wrong_state_detected(self):
         sanitizer, rq, tasks = self.make_rq_with_tasks()

@@ -22,7 +22,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.rbtree import RBTree
+from repro.kernel.runqueue import RunQueue
 from repro.kernel.sync import Barrier, Mutex, Pipe
 from repro.kernel.task import Task
 from repro.schedulers import make_scheduler
@@ -37,7 +37,7 @@ from repro.workloads.actions import (
     PipePut,
     Sleep,
 )
-from tests.conftest import NEUTRAL_PROFILE
+from tests.conftest import NEUTRAL_PROFILE, make_simple_task
 
 SCHEDULER_NAMES = ("linux", "wash", "colab", "gts")
 
@@ -180,7 +180,7 @@ def test_random_workloads_complete_with_invariants(
 def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
     """Every random workload survives the runtime sanitizer.
 
-    schedsan validates the rbtree, runqueue lockstep, futex pairing,
+    schedsan validates runqueue order and lockstep, futex pairing,
     task state machine and work conservation after every mutation; any
     false positive (or real regression) raises SanitizerError here.
     """
@@ -196,97 +196,93 @@ def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
 
 
 @st.composite
-def rbtree_ops(draw):
-    """A random insert/delete/reweight sequence over small float keys."""
+def runqueue_ops(draw):
+    """A random runqueue op sequence over 8 task slots and small keys."""
     n_ops = draw(st.integers(1, 60))
     ops = []
+    kinds = ("enqueue", "dequeue", "requeue", "pop_min", "drift", "update_min")
     for _ in range(n_ops):
-        kind = draw(st.sampled_from(("insert", "delete", "reweight")))
+        kind = draw(st.sampled_from(kinds))
         vruntime = draw(
             st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
         )
-        tid = draw(st.integers(0, 15))
-        ops.append((kind, vruntime, tid))
+        ops.append((kind, vruntime, draw(st.integers(0, 7))))
     return ops
 
 
-@given(ops=rbtree_ops())
+@given(
+    ops=runqueue_ops(),
+    blocking=st.lists(
+        st.sampled_from((0.0, 1.0, 2.5)), min_size=8, max_size=8
+    ),
+)
 @settings(max_examples=150, deadline=None)
-def test_rbtree_against_sorted_list_oracle(ops):
-    """Randomised rbtree mutations cross-checked against a sorted list.
+def test_runqueue_against_sorted_list_oracle(ops, blocking):
+    """Randomised RunQueue operations cross-checked against a sorted list.
 
-    The oracle is the obvious O(n log n) structure: a sorted list of
-    (vruntime, tid) keys.  After every operation the tree must agree
-    with it on ordering, membership and the leftmost entry, and keep
-    every red-black invariant.
+    The oracle is the obvious structure: the queued tasks sorted by the
+    ``(vruntime, tid)`` key each was enqueued under.  ``drift`` moves a
+    queued task's vruntime without re-keying it (as accounting does), so
+    the timeline order follows the stale key while ``best``,
+    ``max_blocking`` and ``update_min_vruntime`` (given a running task's
+    vruntime) read the live vruntime.  After every operation the
+    queue must agree with the oracle on order, head, selection, size and
+    watermark, and report no invariant violation.
     """
-    tree = RBTree()
-    oracle: dict[int, float] = {}  # tid -> vruntime currently in the tree
+    rq = RunQueue(core_id=0)
+    tasks = []
+    for slot, level in enumerate(blocking):
+        task = make_simple_task(name=f"t{slot}")
+        task.mark_ready()
+        task.blocking_level = level
+        tasks.append(task)
+    keys: dict[int, float] = {}  # tid -> vruntime it was enqueued under
+    min_vruntime = 0.0
 
-    for kind, vruntime, tid in ops:
-        if kind == "insert" and tid not in oracle:
-            tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
-        elif kind == "delete" and tid in oracle:
-            value = tree.remove((oracle.pop(tid), tid))
-            assert value == f"task{tid}"
-        elif kind == "reweight" and tid in oracle:
-            tree.remove((oracle[tid], tid))
-            tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
+    for kind, vruntime, slot in ops:
+        task = tasks[slot]
+        queued = task.tid in keys
+        if kind == "enqueue" and not queued:
+            task.vruntime = vruntime
+            rq.enqueue(task)
+            keys[task.tid] = vruntime
+        elif kind == "dequeue" and queued:
+            rq.dequeue(task)
+            del keys[task.tid]
+        elif kind == "requeue" and queued:
+            task.vruntime = vruntime
+            rq.requeue(task)
+            keys[task.tid] = vruntime
+        elif kind == "drift" and queued:
+            task.vruntime = vruntime
+        elif kind == "pop_min":
+            expected_head = rq.peek_min()
+            popped = rq.pop_min()
+            assert popped is expected_head
+            if popped is not None:
+                del keys[popped.tid]
+                min_vruntime = max(min_vruntime, popped.vruntime)
+        elif kind == "update_min":
+            head = rq.peek_min()
+            floor = vruntime if head is None else min(head.vruntime, vruntime)
+            min_vruntime = max(min_vruntime, floor)
+            rq.update_min_vruntime(vruntime)
 
-        assert tree.invariant_violations() == []
-        expected = sorted((v, t) for t, v in oracle.items())
-        assert list(tree.keys()) == expected
-        assert len(tree) == len(expected)
-        assert tree.leftmost() == (
-            (expected[0], f"task{expected[0][1]}") if expected else None
+        live = [t for t in tasks if t.tid in keys]
+        expected = sorted(live, key=lambda t: (keys[t.tid], t.tid))
+        assert list(rq.tasks()) == expected
+        assert rq.peek_min() is (expected[0] if expected else None)
+        assert len(rq) == len(expected)
+        assert rq.best(lambda t: (t.vruntime, t.tid)) is min(
+            live, key=lambda t: (t.vruntime, t.tid), default=None
         )
-
-    # Drain in order: pop_leftmost yields the oracle's sorted sequence.
-    drained = []
-    while True:
-        entry = tree.pop_leftmost()
-        if entry is None:
-            break
-        drained.append(entry[0])
-        assert tree.invariant_violations() == []
-    assert drained == sorted((v, t) for t, v in oracle.items())
-
-
-@given(ops=rbtree_ops())
-@settings(max_examples=150, deadline=None)
-def test_rbtree_node_handles_against_sorted_list_oracle(ops):
-    """The O(1)-removal handle API agrees with the sorted-list oracle.
-
-    This is the runqueue's actual access pattern: ``insert`` returns a
-    node handle (the ``rb_node`` analogue), deletions go through
-    ``remove_node`` without a key lookup, and the scheduler's pick reads
-    ``leftmost_value``.  The oracle is the same sorted list as above.
-    """
-    tree = RBTree()
-    oracle: dict[int, float] = {}
-    nodes: dict[int, object] = {}  # tid -> live node handle
-
-    for kind, vruntime, tid in ops:
-        if kind == "insert" and tid not in oracle:
-            nodes[tid] = tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
-        elif kind == "delete" and tid in oracle:
-            oracle.pop(tid)
-            tree.remove_node(nodes.pop(tid))
-        elif kind == "reweight" and tid in oracle:
-            tree.remove_node(nodes.pop(tid))
-            nodes[tid] = tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
-
-        assert tree.invariant_violations() == []
-        expected = sorted((v, t) for t, v in oracle.items())
-        assert list(tree.keys()) == expected
-        assert len(tree) == len(expected)
-        assert tree.leftmost_value() == (
-            f"task{expected[0][1]}" if expected else None
+        assert rq.max_blocking() is min(
+            live,
+            key=lambda t: (-t.blocking_level, t.vruntime, t.tid),
+            default=None,
         )
+        assert rq.min_vruntime == min_vruntime
+        assert rq.sanitize_violations() == []
 
 
 @given(
