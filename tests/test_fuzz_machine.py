@@ -195,12 +195,14 @@ def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
     assert machine._sanitizer.checks_run > 0
 
 
+KEYED_KINDS = ("enqueue", "dequeue", "requeue", "pop_min", "update_min")
+
+
 @st.composite
-def runqueue_ops(draw):
+def runqueue_ops(draw, kinds=KEYED_KINDS + ("drift",)):
     """A random runqueue op sequence over 8 task slots and small keys."""
     n_ops = draw(st.integers(1, 60))
     ops = []
-    kinds = ("enqueue", "dequeue", "requeue", "pop_min", "drift", "update_min")
     for _ in range(n_ops):
         kind = draw(st.sampled_from(kinds))
         vruntime = draw(
@@ -210,37 +212,31 @@ def runqueue_ops(draw):
     return ops
 
 
-@given(
-    ops=runqueue_ops(),
-    blocking=st.lists(
-        st.sampled_from((0.0, 1.0, 2.5)), min_size=8, max_size=8
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_runqueue_against_sorted_list_oracle(ops, blocking):
-    """Randomised RunQueue operations cross-checked against a sorted list.
+class _RunQueueOracle:
+    """A RunQueue driven in lockstep with a sorted-list oracle.
 
     The oracle is the obvious structure: the queued tasks sorted by the
     ``(vruntime, tid)`` key each was enqueued under.  ``drift`` moves a
     queued task's vruntime without re-keying it (as accounting does), so
     the timeline order follows the stale key while ``best``,
     ``max_blocking`` and ``update_min_vruntime`` (given a running task's
-    vruntime) read the live vruntime.  After every operation the
-    queue must agree with the oracle on order, head, selection, size and
-    watermark, and report no invariant violation.
+    vruntime) read the live vruntime.
     """
-    rq = RunQueue(core_id=0)
-    tasks = []
-    for slot, level in enumerate(blocking):
-        task = make_simple_task(name=f"t{slot}")
-        task.mark_ready()
-        task.blocking_level = level
-        tasks.append(task)
-    keys: dict[int, float] = {}  # tid -> vruntime it was enqueued under
-    min_vruntime = 0.0
 
-    for kind, vruntime, slot in ops:
-        task = tasks[slot]
+    def __init__(self, blocking):
+        self.rq = RunQueue(core_id=0)
+        self.tasks = []
+        for slot, level in enumerate(blocking):
+            task = make_simple_task(name=f"t{slot}")
+            task.mark_ready()
+            task.blocking_level = level
+            self.tasks.append(task)
+        self.keys: dict[int, float] = {}  # tid -> vruntime enqueued under
+        self.min_vruntime = 0.0
+
+    def apply(self, kind, vruntime, slot):
+        rq, keys = self.rq, self.keys
+        task = self.tasks[slot]
         queued = task.tid in keys
         if kind == "enqueue" and not queued:
             task.vruntime = vruntime
@@ -261,28 +257,86 @@ def test_runqueue_against_sorted_list_oracle(ops, blocking):
             assert popped is expected_head
             if popped is not None:
                 del keys[popped.tid]
-                min_vruntime = max(min_vruntime, popped.vruntime)
+                self.min_vruntime = max(self.min_vruntime, popped.vruntime)
         elif kind == "update_min":
             head = rq.peek_min()
             floor = vruntime if head is None else min(head.vruntime, vruntime)
-            min_vruntime = max(min_vruntime, floor)
+            self.min_vruntime = max(self.min_vruntime, floor)
             rq.update_min_vruntime(vruntime)
 
-        live = [t for t in tasks if t.tid in keys]
-        expected = sorted(live, key=lambda t: (keys[t.tid], t.tid))
+    def expected(self):
+        live = [t for t in self.tasks if t.tid in self.keys]
+        return sorted(live, key=lambda t: (self.keys[t.tid], t.tid))
+
+    def check(self):
+        rq = self.rq
+        expected = self.expected()
         assert list(rq.tasks()) == expected
         assert rq.peek_min() is (expected[0] if expected else None)
         assert len(rq) == len(expected)
         assert rq.best(lambda t: (t.vruntime, t.tid)) is min(
-            live, key=lambda t: (t.vruntime, t.tid), default=None
+            expected, key=lambda t: (t.vruntime, t.tid), default=None
         )
         assert rq.max_blocking() is min(
-            live,
+            expected,
             key=lambda t: (-t.blocking_level, t.vruntime, t.tid),
             default=None,
         )
-        assert rq.min_vruntime == min_vruntime
+        assert rq.min_vruntime == self.min_vruntime
         assert rq.sanitize_violations() == []
+
+
+@given(ops=runqueue_ops(kinds=KEYED_KINDS))
+@settings(max_examples=150, deadline=None)
+def test_rbtree_against_sorted_list_oracle(ops):
+    """Keyed RunQueue operations cross-checked against a sorted list.
+
+    The runqueue timeline replaced the red-black tree this test was
+    written for; the id is kept so its history stays traceable.  Every
+    queued task keeps the vruntime it was enqueued under, so order, head
+    and selection all follow the oracle's keys.  After every operation
+    the queue must agree with the oracle, and draining it with
+    ``pop_min`` must yield the oracle's sorted sequence.
+    """
+    oracle = _RunQueueOracle(blocking=[0.0] * 8)
+    for op in ops:
+        oracle.apply(*op)
+        oracle.check()
+
+    expected = oracle.expected()
+    drained = []
+    while (task := oracle.rq.pop_min()) is not None:
+        drained.append(task)
+        assert oracle.rq.sanitize_violations() == []
+    assert drained == expected
+    assert len(oracle.rq) == 0
+
+
+@given(
+    ops=runqueue_ops(),
+    blocking=st.lists(
+        st.sampled_from((0.0, 1.0, 2.5)), min_size=8, max_size=8
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_rbtree_node_handles_against_sorted_list_oracle(ops, blocking):
+    """RunQueue's recorded-entry removal agrees with the sorted-list oracle.
+
+    The runqueue timeline replaced the red-black tree and its node
+    handles; the id is kept so its history stays traceable.  The handle
+    is now the ``(vruntime, tid, task)`` entry recorded at enqueue:
+    ``drift`` moves a queued task's vruntime without re-keying it, so
+    ``dequeue``, ``requeue`` and the head must go through the recorded
+    entry rather than the live vruntime, while ``best``,
+    ``max_blocking`` and ``update_min_vruntime`` read the live value.
+    After every operation the queue must agree with the oracle on order,
+    head, selection, size and watermark, and report no invariant
+    violation.
+    """
+    oracle = _RunQueueOracle(blocking)
+    for op in ops:
+        oracle.apply(*op)
+        oracle.check()
 
 
 @given(
